@@ -41,7 +41,7 @@ let next_sid = Atomic.make 1
 let fresh_sid () = Atomic.fetch_and_add next_sid 1
 
 let final_ok (s : Corpus.stream) (v : P.verdict) =
-  Some v.P.status = s.expected && v.P.mode = P.M_full
+  Corpus.checks_out s v.P.status && v.P.mode = P.M_full
 
 (* Plain session: Events frames, then the final verdict at close. *)
 let plain_session c (s : Corpus.stream) =

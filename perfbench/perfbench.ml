@@ -1,7 +1,7 @@
 (* perfbench: the checker's benchmark.
 
      perfbench.exe --workload W --seed N --seconds S --trace 0|1 --tm PATH
-                   [--smoke] [--corrupt-reference]
+                   [--smoke] [--corrupt-reference] [--starve-search]
 
    Untraced (--trace 0), the workload runs end to end against the process
    under test and prints the end-to-end metrics.  Traced (--trace 1), it
@@ -22,11 +22,15 @@ type opts = {
   tm : string;
   smoke : bool;
   corrupt : bool;  (* flip one reference verdict: the gate must catch it *)
+  starve : bool;
+      (* a search node budget of 1 everywhere: searches end in Budget, which
+         the gate must count as failed even where the reference agrees *)
 }
 
-(* Search node budget of every monitor, server and reference alike, and
-   of the offline fallback: every operation ends. *)
-let max_nodes = 200_000
+(* Search node budget of the offline fallback and of every monitor,
+   server and reference alike: every operation ends. *)
+let default_max_nodes = 200_000
+let max_nodes o = if o.starve then 1 else default_max_nodes
 
 (* Client threads (= connections) of the generator, and server domains. *)
 let nproc = max 1 (min 2 (Domain.recommended_domain_count ()))
@@ -66,10 +70,10 @@ let server_dir name =
   Util.mkdir_p d;
   d
 
-let serve_args ~domains ~shards ?journal () =
+let serve_args o ~domains ~shards ?journal () =
   [
     "--domains"; string_of_int domains; "--shards"; string_of_int shards;
-    "--max-nodes"; string_of_int max_nodes; "--queue"; "256";
+    "--max-nodes"; string_of_int (max_nodes o); "--queue"; "256";
   ]
   @ match journal with Some d -> [ "--journal"; d ] | None -> []
 
@@ -107,13 +111,12 @@ let ok_events (pool : Corpus.stream array) samples =
 let failures (t : Load.totals) =
   List.length (List.filter (fun (s : Load.sample) -> not s.ok) t.samples)
 
-let e2e ~setup ~events_per_s ~lat ~sustained ~rss =
+let e2e ~setup ~events_per_s ~lat ~rss =
   [
     Util.m "setup_s" "s" setup;
     Util.m "events_per_s" "events/s" events_per_s;
     Util.m "latency_p50_ms" "ms" (ms (Util.blocked_percentile lat 50.));
     Util.m "latency_p99_ms" "ms" (ms (Util.blocked_percentile lat 99.));
-    Util.m "sustained_events_per_s" "events/s" sustained;
     Util.m "peak_rss_mb" "MB" rss;
   ]
 
@@ -132,49 +135,13 @@ let server_searches addr =
 (* What the end-to-end phase of a traced run contributes to the split. *)
 type e2e_side = {
   residual_ms : float list;
-  throttles : int;
-  sheds : int;
   searches : int;
-  lag_ms_p99 : float;
   samples : int;
   failed_ratio : float;
-  rungs : (float * float * float * bool) list;
-      (* achieved events/s, p99 ms, lag p99 ms, backlog grew *)
 }
 
 let no_e2e_side =
-  {
-    residual_ms = []; throttles = 0; sheds = 0; searches = 0; lag_ms_p99 = 0.;
-    samples = 0; failed_ratio = 0.; rungs = [];
-  }
-
-(* Fixed offered rates of the open loop, in events/s, the share of the run
-   each gets, and the name its metrics carry; latency is reported at the
-   middle one. *)
-let open_rungs ~smoke =
-  let r = if smoke then 0.1 else 1. in
-  [
-    (20_000. *. r, 0.25, "r20k"); (40_000. *. r, 0.5, "r40k");
-    (160_000. *. r, 0.25, "r160k");
-  ]
-
-let rung_metrics rungs =
-  List.concat
-    (List.mapi
-       (fun i (_, _, name) ->
-         let achieved, p99, lag, grew =
-           match List.nth_opt rungs i with
-           | Some r -> r
-           | None -> (0., 0., 0., false)
-         in
-         let k x = "loadgen." ^ name ^ "." ^ x in
-         [
-           Util.m (k "achieved_events_per_s") "events/s" achieved;
-           Util.m (k "latency_p99_ms") "ms" p99;
-           Util.m (k "lag_ms_p99") "ms" lag;
-           Util.m (k "backlog_grew") "bool" (if grew then 1. else 0.);
-         ])
-       (open_rungs ~smoke:false))
+  { residual_ms = []; searches = 0; samples = 0; failed_ratio = 0. }
 
 let layer_metrics (tr : Pipeline.t) ~untraced_wall side =
   let c = tr.Pipeline.c in
@@ -217,16 +184,12 @@ let layer_metrics (tr : Pipeline.t) ~untraced_wall side =
     Util.m "journal.recover_from_snapshot_ms" "ms" (ms (Util.median c.from_snapshot));
     Util.m "journal.recover_from_journal_ms" "ms" (ms (Util.median c.from_journal));
     Util.m "server.residual_ms_p50" "ms" (Util.median side.residual_ms);
-    Util.m "server.throttles" "count" (float_of_int side.throttles);
-    Util.m "server.sheds" "count" (float_of_int side.sheds);
     Util.m "server.searches" "count" (float_of_int side.searches);
-    Util.m "loadgen.lag_ms_p99" "ms" side.lag_ms_p99;
     Util.m "trace.overhead_ratio" "ratio" (Util.ratio wall untraced_wall);
     Util.m "trace.unaccounted_share" "ratio" (Util.ratio (wall -. Pipeline.layer_secs tr) wall);
     Util.m "e2e.samples" "count" (float_of_int side.samples);
     Util.m "failed_ratio" "ratio" side.failed_ratio;
   ]
-  @ rung_metrics side.rungs
 
 (* Runs [items] through the pipeline untraced for about [budget] seconds,
    then exactly the same items traced.  Returns the traced pipeline, the
@@ -288,7 +251,7 @@ let offline_worker file seconds out =
       match Service.Codec.history_of_string corpus.(i) with
       | Error _ -> (3, 0)
       | Ok h -> (
-          match Conflict_graph.check_or_fallback ~max_nodes h with
+          match Conflict_graph.check_or_fallback ~max_nodes:default_max_nodes h with
           | Verdict.Sat _ -> (0, History.length h)
           | Verdict.Unsat _ -> (1, History.length h)
           | Verdict.Unknown _ -> (2, History.length h))
@@ -352,7 +315,7 @@ let offline o =
   let events_per_s = Util.windowed_rate (List.map (fun (_, s, l, e) -> (s, s +. l, e)) ok_ops) in
   if not o.trace then
     {
-      metrics = e2e ~setup ~events_per_s ~lat ~sustained:events_per_s ~rss;
+      metrics = e2e ~setup ~events_per_s ~lat ~rss;
       attempted;
       failed;
     }
@@ -361,7 +324,7 @@ let offline o =
     let tr, untraced_wall, _, wrong =
       in_process ~budget:(o.seconds /. 4.)
         (fun i -> corpus.(i mod n))
-        (fun t _ h -> ignore (Pipeline.check_history t ~max_nodes h))
+        (fun t _ h -> ignore (Pipeline.check_history t ~max_nodes:(max_nodes o) h))
     in
     let side =
       {
@@ -381,11 +344,13 @@ let offline o =
 
 let deal_len = 1 lsl 16
 
+(* Set up [reps] times and keep the last pool and server.  [bad] counts
+   the references that are not a decision; each is a failed operation. *)
 let service_setup o ~pool_of ~args ~dir =
   set_up o (fun ~last ->
       let pool = pool_of () in
-      Corpus.compute_references ~max_nodes pool;
-      (pool, start_or_stop o ~dir ~args ~last))
+      let bad = Corpus.compute_references ~max_nodes:(max_nodes o) pool in
+      (pool, bad, start_or_stop o ~dir ~args ~last))
 
 let corrupt o (pool : Corpus.stream array) =
   if o.corrupt then pool.(0).expected <- Corpus.wrong_status pool.(0).expected
@@ -405,8 +370,8 @@ let service_layers o ~pool ~deal ~mode ~shards ~side ~(samples : Load.sample lis
       (fun i -> deal.(i mod deal_len))
       (fun t i e ->
         let _ok, rsecs =
-          Pipeline.run_session t ~shards ~max_nodes ~dir:jdir ~sid:(i + 1) (mode_of i)
-            pool.(e) payloads.(e)
+          Pipeline.run_session t ~shards ~max_nodes:(max_nodes o) ~dir:jdir ~sid:(i + 1)
+            (mode_of i) pool.(e) payloads.(e)
         in
         if not t.traced then begin
           recover.(e) <- recover.(e) +. rsecs;
@@ -432,8 +397,8 @@ let service_layers o ~pool ~deal ~mode ~shards ~side ~(samples : Load.sample lis
 
 let stream_dup o =
   let dir = server_dir "stream-dup" in
-  let args = serve_args ~domains:workers ~shards:1 () in
-  let (pool, srv), setup =
+  let args = serve_args o ~domains:workers ~shards:1 () in
+  let (pool, bad, srv), setup =
     service_setup o ~pool_of:(fun () -> Corpus.dup_pool ~smoke:o.smoke ~seed:o.seed) ~args ~dir
   in
   let srv = Option.get srv in
@@ -447,14 +412,13 @@ let stream_dup o =
   let searches = server_searches srv.addr in
   let rss = Proc.peak_rss_mb srv in
   Proc.stop srv;
-  let attempted = List.length t.samples and failed = failures t in
-  let events_per_s = ok_rate pool t.samples in
+  let attempted = List.length t.samples + bad and failed = failures t + bad in
   if not o.trace then
     {
       metrics =
-        e2e ~setup ~events_per_s
+        e2e ~setup ~events_per_s:(ok_rate pool t.samples)
           ~lat:(latencies t.samples (fun s -> s.finish -. s.start))
-          ~sustained:events_per_s ~rss;
+          ~rss;
       attempted;
       failed;
     }
@@ -464,16 +428,45 @@ let stream_dup o =
       ~side:
         {
           no_e2e_side with
-          throttles = t.throttles; sheds = t.sheds; searches;
-          samples = attempted; failed_ratio = Util.ratio_i failed attempted;
+          searches; samples = attempted; failed_ratio = Util.ratio_i failed attempted;
         }
+
+(* Fixed offered rates of the open loop, in events/s, the share of the run
+   each gets, and the name its metrics carry; latency is reported at the
+   middle one. *)
+let open_rungs ~smoke =
+  let r = if smoke then 0.1 else 1. in
+  [
+    (20_000. *. r, 0.25, "r20k"); (40_000. *. r, 0.5, "r40k");
+    (160_000. *. r, 0.25, "r160k");
+  ]
+
+(* open-durable's own metrics, beyond those of BENCHMARK.json: the
+   server's refusals, which only an open loop can provoke, the generator's
+   lag, and the rungs [sustained_events_per_s] is derived from. *)
+let open_loop_metrics ~smoke ~(totals : Load.totals list) ~lag_ms_p99 rungs =
+  let total f = float_of_int (List.fold_left (fun a t -> a + f t) 0 totals) in
+  Util.m "server.throttles" "count" (total (fun t -> t.Load.throttles))
+  :: Util.m "server.sheds" "count" (total (fun t -> t.Load.sheds))
+  :: Util.m "loadgen.lag_ms_p99" "ms" lag_ms_p99
+  :: List.concat
+       (List.map2
+          (fun (_, _, name) (achieved, p99, lag, grew) ->
+            let k x = "loadgen." ^ name ^ "." ^ x in
+            [
+              Util.m (k "achieved_events_per_s") "events/s" achieved;
+              Util.m (k "latency_p99_ms") "ms" p99;
+              Util.m (k "lag_ms_p99") "ms" lag;
+              Util.m (k "backlog_grew") "bool" (if grew then 1. else 0.);
+            ])
+          (open_rungs ~smoke) rungs)
 
 let open_durable o =
   let dir = server_dir "open-durable" in
   let args =
-    serve_args ~domains:workers ~shards:2 ~journal:(Filename.concat dir "journal") ()
+    serve_args o ~domains:workers ~shards:2 ~journal:(Filename.concat dir "journal") ()
   in
-  let (pool, srv), setup =
+  let (pool, bad, srv), setup =
     service_setup o ~pool_of:(fun () -> Corpus.zipf_pool ~smoke:o.smoke ~seed:o.seed) ~args ~dir
   in
   let srv = Option.get srv in
@@ -509,8 +502,8 @@ let open_durable o =
   let rss = Proc.peak_rss_mb srv in
   Proc.stop srv;
   let all = List.concat_map (fun (_, (t : Load.totals), _, _, _, _) -> t.samples) rungs in
-  let attempted = List.length all in
-  let failed = List.fold_left (fun a (_, t, _, _, _, _) -> a + failures t) 0 rungs in
+  let attempted = List.length all + bad in
+  let failed = List.fold_left (fun a (_, t, _, _, _, _) -> a + failures t) bad rungs in
   let _, _, ref_lat, ref_lag, _, _ = List.nth rungs 1 in
   let _, _, _, _, _, top = List.nth rungs (List.length rungs - 1) in
   let sustained =
@@ -523,28 +516,36 @@ let open_durable o =
   in
   if not o.trace then
     {
-      metrics = e2e ~setup ~events_per_s:top ~lat:ref_lat ~sustained ~rss;
+      metrics =
+        e2e ~setup ~events_per_s:top ~lat:ref_lat ~rss
+        @ [ Util.m "sustained_events_per_s" "events/s" sustained ];
       attempted;
       failed;
     }
   else
-    service_layers o ~pool ~deal ~mode:Pipeline.Durable ~shards:2 ~samples:all
-      ~e2e_attempted:attempted ~e2e_failed:failed
-      ~side:
-        {
-          no_e2e_side with
-          throttles = List.fold_left (fun a (_, (t : Load.totals), _, _, _, _) -> a + t.throttles) 0 rungs;
-          sheds = List.fold_left (fun a (_, (t : Load.totals), _, _, _, _) -> a + t.sheds) 0 rungs;
-          searches;
-          lag_ms_p99 = ms (p99 ref_lag);
-          samples = attempted;
-          failed_ratio = Util.ratio_i failed attempted;
-          rungs =
-            List.map
-              (fun (_, _, lat, lag, grew, achieved) ->
-                (achieved, ms (p99 lat), ms (p99 lag), grew))
-              rungs;
-        }
+    let r =
+      service_layers o ~pool ~deal ~mode:Pipeline.Durable ~shards:2 ~samples:all
+        ~e2e_attempted:attempted ~e2e_failed:failed
+        ~side:
+          {
+            no_e2e_side with
+            searches;
+            samples = attempted;
+            failed_ratio = Util.ratio_i failed attempted;
+          }
+    in
+    {
+      r with
+      metrics =
+        r.metrics
+        @ open_loop_metrics ~smoke:o.smoke
+            ~totals:(List.map (fun (_, t, _, _, _, _) -> t) rungs)
+            ~lag_ms_p99:(ms (p99 ref_lag))
+            (List.map
+               (fun (_, _, lat, lag, grew, achieved) ->
+                 (achieved, ms (p99 lat), ms (p99 lag), grew))
+               rungs);
+    }
 
 (* Sessions per crash cycle and connection: half journal-only, then half
    checkpointed. *)
@@ -552,8 +553,8 @@ let crash_per_conn = 2
 
 let crash_recover o =
   let dir = server_dir "crash-recover" in
-  let args = serve_args ~domains:1 ~shards:1 ~journal:(Filename.concat dir "journal") () in
-  let (pool, srv), setup =
+  let args = serve_args o ~domains:1 ~shards:1 ~journal:(Filename.concat dir "journal") () in
+  let (pool, bad, srv), setup =
     service_setup o ~pool_of:(fun () -> Corpus.dup_pool ~smoke:o.smoke ~seed:o.seed) ~args ~dir
   in
   corrupt o pool;
@@ -618,7 +619,8 @@ let crash_recover o =
   let searches = server_searches !srv.addr in
   rss := max !rss (Proc.peak_rss_mb !srv);
   Proc.stop !srv;
-  let attempted = List.length t.samples + t.errors and failed = failures t + t.errors in
+  let attempted = List.length t.samples + t.errors + bad
+  and failed = failures t + t.errors + bad in
   (* the median cycle, for the reason Util.windowed_rate gives *)
   let events_per_s = Util.median !cycle_rates in
   if not o.trace then
@@ -626,7 +628,7 @@ let crash_recover o =
       metrics =
         e2e ~setup ~events_per_s
           ~lat:(latencies t.samples (fun s -> s.finish -. s.due))
-          ~sustained:events_per_s ~rss:!rss;
+          ~rss:!rss;
       attempted;
       failed;
     }
@@ -636,7 +638,7 @@ let crash_recover o =
       ~side:
         {
           no_e2e_side with
-          throttles = t.throttles; sheds = t.sheds; searches;
+          searches;
           samples = attempted; failed_ratio = Util.ratio_i failed attempted;
         }
 
@@ -669,7 +671,7 @@ let watchdog limit =
 let usage () =
   prerr_endline
     "usage: perfbench.exe --workload NAME --seed N --seconds S --trace 0|1 --tm PATH \
-     [--smoke] [--corrupt-reference]\n\
+     [--smoke] [--corrupt-reference] [--starve-search]\n\
     \       perfbench.exe offline-worker CORPUS SECONDS OUT";
   exit 2
 
@@ -678,7 +680,7 @@ let parse argv =
     ref
       {
         workload = ""; seed = 0; seconds = 10.; trace = false; tm = "";
-        smoke = false; corrupt = false;
+        smoke = false; corrupt = false; starve = false;
       }
   in
   let rec go = function
@@ -690,6 +692,7 @@ let parse argv =
     | "--tm" :: p :: rest -> o := { !o with tm = p }; go rest
     | "--smoke" :: rest -> o := { !o with smoke = true }; go rest
     | "--corrupt-reference" :: rest -> o := { !o with corrupt = true }; go rest
+    | "--starve-search" :: rest -> o := { !o with starve = true }; go rest
     | _ -> usage ()
   in
   (try go argv with Failure _ -> usage ());

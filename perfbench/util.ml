@@ -25,7 +25,8 @@ let sum = List.fold_left ( +. ) 0.
    operations overlap each window, each operation's events spread evenly
    over its [start, finish] span: a burst of host steal time moves a few
    windows, not the figure. *)
-let windowed_rate ?(window = 1.) spans =
+let windowed_rate spans =
+  let window = 1. in
   match spans with
   | [] -> 0.
   | (s0, _, _) :: _ ->
@@ -47,13 +48,18 @@ let windowed_rate ?(window = 1.) spans =
         spans;
       median (Array.to_list (Array.map (fun e -> e /. width) acc))
 
-(* The [p]-th percentile of [(time, value)] samples within each of [blocks]
-   equal stretches of the run, median over the stretches: a stall that
-   hits one stretch moves one of the five figures, not the result. *)
-let blocked_percentile ?(blocks = 5) samples p =
+(* The [p]-th percentile of [(time, value)] samples within each of up to
+   five equal stretches of the run, median over the stretches: a stall
+   that hits one stretch moves one of the figures, not the result.  Each
+   stretch holds on average enough samples that ten lie beyond the
+   percentile (1000 for p99), so a short run has fewer stretches, and one
+   under that size has a single one. *)
+let blocked_percentile samples p =
   match samples with
   | [] -> 0.
   | (s0, _) :: _ ->
+      let per_block = int_of_float (Float.round (1000. /. (100. -. p))) in
+      let blocks = max 1 (min 5 (List.length samples / per_block)) in
       let t0 = List.fold_left (fun a (t, _) -> min a t) s0 samples in
       let t1 = List.fold_left (fun a (t, _) -> max a t) s0 samples in
       let width = max 1e-9 ((t1 -. t0) /. float_of_int blocks) in
