@@ -147,11 +147,11 @@ let dup_kinds ~smoke =
     faulted ~stm ~values:(`Range 100) ~txns:(txns - 10) ~vars:8 seed
   in
   [
-    ("tl2", rec_ "tl2", n 192);
-    ("mvcc", rec_ "mvcc", n 128);
-    ("norec", rec_ "norec", n 128);
-    ("tl2-fault", fault "tl2", n 128);
-    ("norec-fault", fault "norec", n 64);
+    ("tl2", rec_ "tl2", n 384);
+    ("mvcc", rec_ "mvcc", n 256);
+    ("norec", rec_ "norec", n 256);
+    ("tl2-fault", fault "tl2", n 256);
+    ("norec-fault", fault "norec", n 128);
   ]
 
 let dup_pool ~smoke ~seed =

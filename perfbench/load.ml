@@ -223,7 +223,11 @@ let send_durably c (pool : Corpus.stream array) sessions =
           if cs.checkpointed then ignore (Client.checkpoint c cs.sid)))
     sessions
 
-(* Phase two, after the restart at [restarted]: resume, finish, close. *)
+(* Phase two, after the restart at [restarted]: resume every session of
+   the connection, then finish and close each.  A session's latency is
+   the server's start plus the recoveries queued before its [Resumed]; the
+   verdicts at close come after, so no earlier session's search lands in
+   a later session's latency. *)
 let resume_all t addr ~restarted (pool : Corpus.stream array) sessions =
   let count_errors n =
     Mutex.lock t.lock;
@@ -232,34 +236,41 @@ let resume_all t addr ~restarted (pool : Corpus.stream array) sessions =
   in
   try
   with_connection addr t (fun c _reconnect ->
-      List.iter
-        (fun cs ->
-          let s = pool.(cs.stream) in
-          let ok =
+      let resumed =
+        List.filter_map
+          (fun cs ->
             guarded !c @@ fun () ->
             match Client.resume !c cs.sid ~from:0 with
             | exception e ->
                 prerr_endline ("perfbench: resume failed: " ^ Printexc.to_string e);
+                count_errors 1;
                 None
             | Error (code, msg) ->
                 prerr_endline
                   (Format.asprintf "perfbench: resume %d: %a: %s" cs.sid
                      P.pp_error_code code msg);
+                count_errors 1;
                 None
-            | Ok (applied, _, _) ->
-                let finish = Util.now () in
-                if applied < s.len then
-                  Client.send_events_at !c cs.sid ~from:applied
-                    (List.filteri (fun i _ -> i >= applied) s.events);
-                match Client.close_session !c cs.sid with
-                | v -> Some (finish, final_ok s v && v.P.applied = s.len)
-                | exception e ->
-                    prerr_endline ("perfbench: close failed: " ^ Printexc.to_string e);
-                    None
+            | Ok (applied, _, _) -> Some (cs, applied, Util.now ()))
+          sessions
+      in
+      List.iter
+        (fun (cs, applied, finish) ->
+          let s = pool.(cs.stream) in
+          let ok =
+            guarded !c @@ fun () ->
+            if applied < s.len then
+              Client.send_events_at !c cs.sid ~from:applied
+                (List.filteri (fun i _ -> i >= applied) s.events);
+            match Client.close_session !c cs.sid with
+            | v -> Some (final_ok s v && v.P.applied = s.len)
+            | exception e ->
+                prerr_endline ("perfbench: close failed: " ^ Printexc.to_string e);
+                None
           in
           match ok with
-          | Some (finish, ok) ->
+          | Some ok ->
               add t { idx = cs.stream; due = restarted; start = restarted; finish; ok }
           | None -> count_errors 1)
-        sessions)
+        resumed)
   with Unix.Unix_error _ | Client.Server_error _ -> count_errors (List.length sessions)

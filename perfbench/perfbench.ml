@@ -549,7 +549,7 @@ let open_durable o =
 
 (* Sessions per crash cycle and connection: half journal-only, then half
    checkpointed. *)
-let crash_per_conn = 2
+let crash_per_conn = 4
 
 let crash_recover o =
   let dir = server_dir "crash-recover" in

@@ -52,6 +52,21 @@ def build():
         fail("build failed")
 
 
+def pin_to_one_cpu():
+    """Confines this process, and so every process a run starts, to one CPU.
+
+    The load generator, `tm serve` and its domains then hand work to each
+    other on one CPU, by plain context switches.  Spread over two vCPUs of
+    a shared host, each hand-off can wait for the host to wake the other
+    vCPU, and how long that takes varies from run to run (README.md).
+    """
+    try:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(cpus)})
+    except (AttributeError, OSError) as e:
+        print("perfbench: running unpinned (%s)" % e, file=sys.stderr)
+
+
 def run(workload, seed, seconds, trace, extra=()):
     """Runs one workload; returns the parsed result line."""
     cmd = [EXE, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -112,6 +127,7 @@ def main():
     ap.add_argument("--self-check", action="store_true")
     args = ap.parse_args()
     build()
+    pin_to_one_cpu()
     if args.self_check:
         self_check()
         return
