@@ -296,7 +296,10 @@ let bench_stm_safety () =
           !aborts
           + r.Sim.Runner.stats.Stm.Harness.op_aborts
           + r.Sim.Runner.stats.Stm.Harness.commit_aborts;
-        match Du_opacity.check_fast ~max_nodes:1_000_000 r.Sim.Runner.history with
+        match
+          Conflict_graph.check_or_fallback ~max_nodes:1_000_000
+            r.Sim.Runner.history
+        with
         | Verdict.Sat _ -> incr du_ok
         | Verdict.Unsat _ -> incr bad
         | Verdict.Unknown _ -> ()
@@ -339,8 +342,6 @@ let bench_checker_scaling () =
         [
           Test.make ~name:(name "du-search   ")
             (Staged.stage (fun () -> ignore (Du_opacity.check h)));
-          Test.make ~name:(name "du-fastpath ")
-            (Staged.stage (fun () -> ignore (Du_opacity.check_fast h)));
           Test.make ~name:(name "final-state ")
             (Staged.stage (fun () -> ignore (Final_state.check h)));
           Test.make ~name:(name "opacity     ")
@@ -364,48 +365,8 @@ let bench_checker_scaling () =
   in
   print_timings (run_bechamel tests);
   Fmt.pr
-    "  => expected shape: fastpath ≤ search; opacity ≈ (responses × \
-     final-state); all grow super-linearly in the worst case (the decision \
-     problem is NP-hard).@."
-
-(* --- Section: fastpath -------------------------------------------------- *)
-
-let bench_fastpath () =
-  section_header
-    "fastpath — unique-writes polygraph vs general search (Theorem 11 \
-     machinery)";
-  let history_of_size txns seed =
-    let params =
-      {
-        Stm.Workload.default with
-        n_threads = 3;
-        txns_per_thread = (txns + 2) / 3;
-        ops_per_txn = 3;
-        n_vars = 6;
-        values = `Unique;
-      }
-    in
-    (Sim.Runner.run ~max_retries:1 ~stm:"tl2" ~params ~seed ()).Sim.Runner.history
-  in
-  let tests =
-    List.concat_map
-      (fun txns ->
-        let h = history_of_size txns (2000 + txns) in
-        [
-          Test.make ~name:(Fmt.str "polygraph    txns=%02d" txns)
-            (Staged.stage (fun () -> ignore (Polygraph.check h)));
-          Test.make ~name:(Fmt.str "search (du)  txns=%02d" txns)
-            (Staged.stage (fun () -> ignore (Du_opacity.check h)));
-        ])
-      [ 6; 12; 24; 48 ]
-  in
-  print_timings (run_bechamel tests);
-  Fmt.pr
-    "  => expected shape: on these near-serial recorded histories the \
-     history-order-hinted search is linear and wins; the polygraph's \
-     O(n^3) closure costs more but is immune to the search's exponential \
-     worst case (it never branches when propagation decides every \
-     disjunction — which unique writes make the common case).@."
+    "  => expected shape: opacity ≈ (responses × final-state); all grow \
+     super-linearly in the worst case (the decision problem is NP-hard).@."
 
 (* --- Section: stm-throughput ------------------------------------------- *)
 
@@ -1400,7 +1361,7 @@ let check_containment () =
       for s = 1 to seeds do
         let h = Oracle.produce source ~seed:(1000 + (i * seeds) + s) in
         incr histories;
-        let du = Du_opacity.check_fast ~max_nodes:2_000_000 h in
+        let du = Conflict_graph.check_or_fallback ~max_nodes:2_000_000 h in
         let lu = Last_use_opacity.check_fast ~max_nodes:2_000_000 h in
         match (du, Last_use_opacity.to_verdict lu) with
         | Verdict.Sat _, Verdict.Sat _ ->
@@ -1467,12 +1428,10 @@ let bench_check () =
     (Sim.Runner.run ~stm:"tl2" ~params ~seed:(42 + target) ())
       .Sim.Runner.history
   in
-  (* The pre-existing backends are superlinear on histories this large —
-     [check_fast] crawls at ~2k events/s by 10k events and the search
-     follows its per-response incremental revalidation — so each gets a
-     hard cap; the graph backend runs at every size.  The asymmetry IS the
+  (* The searches are superlinear on histories this large, so they get a
+     hard cap; the graph runs at every size.  The asymmetry IS the
      result. *)
-  let fast_cap = 120_000 and search_cap = 120_000 in
+  let search_cap = 120_000 in
   let verdict_of = function
     | Verdict.Sat _ -> "sat"
     | Verdict.Unsat _ -> "unsat"
@@ -1504,24 +1463,18 @@ let bench_check () =
             | Conflict_graph.Unsat _ -> "unsat"
             | Conflict_graph.Ambiguous _ -> "ambiguous");
         if n <= search_cap then
-          time n "search" (fun () -> Du_opacity.check h) verdict_of;
-        if n <= fast_cap then
-          time n "fast" (fun () -> Du_opacity.check_fast h) verdict_of
+          time n "search" (fun () -> Du_opacity.check h) verdict_of
       end;
-      if lu_on then begin
-        (* The last-use core shares the greedy conflict-order fast path, so
-           it belongs on the same axis as [fast]; the decorated search gets
-           the same cap as the du search. *)
-        if n <= fast_cap then
-          time n "lu-fast"
-            (fun () ->
-              Last_use_opacity.to_verdict (Last_use_opacity.check_fast h))
-            verdict_of;
-        if n <= search_cap then
-          time n "lu-search"
-            (fun () ->
-              Last_use_opacity.to_verdict (Last_use_opacity.check h))
-            verdict_of
+      (* [lu-fast] adopts the du graph's certificate but falls back to the
+         decorated search, so both last-use rows get the search's cap. *)
+      if lu_on && n <= search_cap then begin
+        time n "lu-fast"
+          (fun () ->
+            Last_use_opacity.to_verdict (Last_use_opacity.check_fast h))
+          verdict_of;
+        time n "lu-search"
+          (fun () -> Last_use_opacity.to_verdict (Last_use_opacity.check h))
+          verdict_of
       end)
     !opt_check_sizes;
   let rows = List.rev !rows in
@@ -1567,7 +1520,7 @@ let bench_check () =
       speedups;
     Fmt.pr
       "  => expected shape: graph linear (greedy fast path) through 1M \
-       events; search/fast capped because they are superlinear here.@."
+       events; the searches capped because they are superlinear here.@."
   end
 
 let sections =
@@ -1578,7 +1531,6 @@ let sections =
     ("lemmas", bench_lemmas);
     ("stm-safety", bench_stm_safety);
     ("checker-scaling", bench_checker_scaling);
-    ("fastpath", bench_fastpath);
     ("stm-throughput", bench_stm_throughput);
     ("abort-rate", bench_abort_rate);
     ("monitor", bench_monitor);

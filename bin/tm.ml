@@ -88,33 +88,19 @@ let property_conv =
       ("all", P_all);
     ]
 
-type backend = B_search | B_graph | B_both
-
-let backend_conv =
-  Arg.enum [ ("search", B_search); ("graph", B_graph); ("both", B_both) ]
-
-(* The conflict-graph backend decides du-opacity; other properties keep
-   their single checker regardless of [--backend]. *)
-let du_checks backend =
-  let search =
-    ("du-opacity", fun ?max_nodes h -> Du_opacity.check ?max_nodes h)
-  in
-  let graph =
-    ( "du-opacity (graph)",
-      fun ?max_nodes h -> Conflict_graph.check_or_fallback ?max_nodes h )
-  in
-  match backend with
-  | B_search -> [ search ]
-  | B_graph -> [ graph ]
-  | B_both -> [ ("du-opacity (search)", snd search); graph ]
+(* du-opacity is judged by the conflict graph, falling back to the exact
+   search on [Ambiguous]. *)
+let du_check =
+  ( "du-opacity",
+    fun ?max_nodes h -> Conflict_graph.check_or_fallback ?max_nodes h )
 
 let last_use_check =
   ( "last-use opacity",
     fun ?max_nodes h ->
       Last_use_opacity.to_verdict (Last_use_opacity.check ?max_nodes h) )
 
-let rec checks_of_property backend = function
-  | P_du -> du_checks backend
+let rec checks_of_property = function
+  | P_du -> [ du_check ]
   | P_last_use -> [ last_use_check ]
   | P_opacity -> [ ("opacity", fun ?max_nodes h -> Opacity.check ?max_nodes h) ]
   | P_final_state ->
@@ -135,7 +121,7 @@ let rec checks_of_property backend = function
           fun ?max_nodes h -> Snapshot_isolation.check ?max_nodes h );
       ]
   | P_all ->
-      List.concat_map (checks_of_property backend)
+      List.concat_map checks_of_property
         [
           P_du; P_last_use; P_opacity; P_final_state; P_tms2; P_rco; P_ser;
           P_strict_ser; P_si;
@@ -148,14 +134,19 @@ type criterion = C_du | C_lastuse | C_both
 let criterion_conv =
   Arg.enum [ ("du", C_du); ("last-use", C_lastuse); ("both", C_both) ]
 
-let checks_of_criterion backend = function
-  | C_du -> checks_of_property backend P_du
+let checks_of_criterion = function
+  | C_du -> [ du_check ]
   | C_lastuse -> [ last_use_check ]
-  | C_both -> checks_of_property backend P_du @ [ last_use_check ]
+  | C_both -> [ du_check; last_use_check ]
 
 let check_cmd =
   let property_arg =
-    let doc = "Property to check: $(docv) ∈ du|opacity|final-state|tms2|rco|serializable|strict-serializable|si|all." in
+    let doc =
+      "Property to check: $(docv) ∈ du|opacity|final-state|tms2|rco|\
+       serializable|strict-serializable|si|all.  [du] is judged by the \
+       linear-time conflict graph, falling back to the exact search only on \
+       histories the graph cannot decide."
+    in
     Arg.(value & opt property_conv P_du & info [ "property"; "p" ] ~docv:"PROP" ~doc)
   in
   let certificate_arg =
@@ -168,17 +159,6 @@ let check_cmd =
        and print it as a timeline."
     in
     Arg.(value & flag & info [ "shrink"; "s" ] ~doc)
-  in
-  let backend_arg =
-    let doc =
-      "du-opacity checker backend: $(docv) ∈ search|graph|both.  [graph] \
-       uses the incremental conflict-graph core (falling back to the \
-       search only on genuinely ambiguous histories); [both] runs the two \
-       and prints a verdict line each."
-    in
-    Arg.(
-      value & opt backend_conv B_search
-      & info [ "backend"; "b" ] ~docv:"BACKEND" ~doc)
   in
   let criterion_arg =
     let doc =
@@ -198,7 +178,7 @@ let check_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let run input property criterion backend max_nodes timeline certificate
+  let run input property criterion max_nodes timeline certificate
       shrink dot =
     match history_of_input input with
     | Error e -> e
@@ -224,8 +204,8 @@ let check_cmd =
         in
         let checks =
           match criterion with
-          | Some c -> checks_of_criterion backend c
-          | None -> checks_of_property backend property
+          | Some c -> checks_of_criterion c
+          | None -> checks_of_property property
         in
         List.iter
           (fun (name, check) ->
@@ -258,8 +238,8 @@ let check_cmd =
   in
   let term =
     Term.(
-      const run $ input_arg $ property_arg $ criterion_arg $ backend_arg
-      $ max_nodes_arg $ timeline_arg $ certificate_arg $ shrink_arg $ dot_arg)
+      const run $ input_arg $ property_arg $ criterion_arg $ max_nodes_arg
+      $ timeline_arg $ certificate_arg $ shrink_arg $ dot_arg)
   in
   let handle = function
     | `Ok () -> 0
@@ -357,7 +337,7 @@ let run_cmd =
       (History.length h);
     if not check then 0
     else
-      match Du_opacity.check_fast ~max_nodes:5_000_000 h with
+      match Conflict_graph.check_or_fallback ~max_nodes:5_000_000 h with
       | Verdict.Sat _ ->
           Fmt.epr "# du-opaque: yes@.";
           0

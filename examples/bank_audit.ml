@@ -42,7 +42,7 @@ let audit_sim stm =
   let r = Sim.Runner.run ~stm ~params ~seed:99 () in
   let s = r.Sim.Runner.stats in
   let h = r.Sim.Runner.history in
-  let du = Du_opacity.check_fast ~max_nodes:5_000_000 h in
+  let du = Conflict_graph.check_or_fallback ~max_nodes:5_000_000 h in
   Fmt.pr
     "%-12s commits %4d  aborts %3d (+%d at tryC)  events %5d  overlap %2d  \
      du-opaque: %s@."

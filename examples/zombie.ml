@@ -109,7 +109,7 @@ let run_with stm_name =
   (stm_name, !audits, !crashes, history)
 
 let report (name, audits, crashes, history) =
-  let du = Du_opacity.check_fast ~max_nodes:2_000_000 history in
+  let du = Conflict_graph.check_or_fallback ~max_nodes:2_000_000 history in
   Fmt.pr "%-12s audits: %3d   zombie crashes: %2d   du-opaque: %s@." name
     audits crashes
     (match du with

@@ -61,10 +61,11 @@ type stm_result = {
 let empty_report =
   { Race.accesses = 0; locations = 0; sync_locations = 0; races = [] }
 
-(* Judge a deduplicated history set under both criteria.  With [graph],
-   every history is also judged by the conflict-graph backend (falling back
-   to the search on [Ambiguous]) and decided disagreements are counted —
-   the exhaustive small-scope cross-check of the two checker cores.  Every
+(* Judge a deduplicated history set under both criteria; du-opacity is
+   judged by the conflict graph, falling back to the search on
+   [Ambiguous].  With [graph], every history is also judged by the bare
+   search and decided disagreements are counted — the exhaustive
+   small-scope cross-check of the two checker cores.  Every
    history additionally drives the criterion lattice: [containment] counts
    du-opaque histories that fail last-use opacity (a theorem violation,
    must be 0 everywhere), [separated] counts the interesting converse —
@@ -86,7 +87,9 @@ let verdicts_of ?(graph = false) cfg (histories : (string, History.t) Hashtbl.t)
   in
   List.iter
     (fun (key, h) ->
-      let v = Du.check_fast ~max_nodes:cfg.max_nodes h in
+      let v =
+        Tm_checker.Conflict_graph.check_or_fallback ~max_nodes:cfg.max_nodes h
+      in
       (match v with
       | Verdict.Sat _ -> incr sat
       | Verdict.Unsat why ->
@@ -108,8 +111,7 @@ let verdicts_of ?(graph = false) cfg (histories : (string, History.t) Hashtbl.t)
       | _ -> ());
       if graph then begin
         incr graph_checked;
-        let g = Tm_checker.Conflict_graph.check_or_fallback ~max_nodes:cfg.max_nodes h in
-        match g, v with
+        match Du.check ~max_nodes:cfg.max_nodes h, v with
         | Verdict.Sat _, Verdict.Sat _
         | Verdict.Unsat _, Verdict.Unsat _
         | Verdict.Unknown _, _
@@ -162,7 +164,7 @@ let run_stm cfg stm =
       ~seed:cfg.seed ~on_result ()
   in
   (* Verdicts over the distinct histories, each cross-checked against the
-     conflict-graph backend and judged under both safety criteria. *)
+     bare search and judged under both safety criteria. *)
   let dv, lv, containment, separated, graph_checked, graph_mismatch =
     verdicts_of ~graph:true cfg histories
   in
@@ -265,7 +267,7 @@ let pp_result ppf r =
     (if r.r_lastuse_containment = 1 then "" else "s")
     Race.pp_report r.r_races r.r_racy_schedules
     (if r.r_racy_schedules = 1 then "" else "s");
-  Fmt.pf ppf "@,graph backend: %d cross-checked, %d mismatch%s"
+  Fmt.pf ppf "@,graph vs search: %d cross-checked, %d mismatch%s"
     r.r_graph_checked r.r_graph_mismatch
     (if r.r_graph_mismatch = 1 then "" else "es");
   (match r.r_naive with

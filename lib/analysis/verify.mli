@@ -3,7 +3,7 @@
     For each algorithm, enumerates {e every} schedule of a small workload
     with {!Tm_sim.Explore} (DPOR by default), checks each distinct recorded
     history under {e both} safety criteria
-    ({!Tm_checker.Du_opacity.check_fast} and
+    ({!Tm_checker.Conflict_graph.check_or_fallback} and
     {!Tm_checker.Last_use_opacity.check_fast} — including the containment
     theorem du ⇒ last-use as a per-history invariant), and runs the
     happens-before race analyzer ({!Race}) over each schedule's
@@ -69,12 +69,12 @@ type stm_result = {
           [naive ⊆ DPOR] when one was cut off; [None] when no baseline
           ran *)
   r_graph_checked : int;
-      (** distinct histories also judged by
-          {!Tm_checker.Conflict_graph.check_or_fallback} *)
+      (** distinct histories also judged by the bare search
+          {!Tm_checker.Du_opacity.check} *)
   r_graph_mismatch : int;
-      (** decided disagreements between the graph backend and
-          [check_fast] — always 0 unless one of the two checker cores is
-          wrong *)
+      (** decided disagreements between the graph-then-search verdict and
+          the bare search — always 0 unless one of the two checker cores
+          is wrong *)
   r_seconds : float;
 }
 
@@ -85,7 +85,7 @@ val run : config -> stm_result list
 
 val ok : stm_result -> bool
 (** No [Unknown] verdicts under either criterion, baseline agreement when
-    one ran, zero graph-backend mismatches, zero containment violations,
+    one ran, zero graph-vs-search mismatches, zero containment violations,
     [safe] algorithms all-[Sat] and race-free, and [lastuse_safe]
     algorithms all last-use-[Sat] and race-free (their du-violations are
     expected, not penalised).  (Whether a control {e must} be flagged

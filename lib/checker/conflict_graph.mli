@@ -10,7 +10,7 @@
     nothing when it already respects the maintained order (the overwhelming
     case on event streams, where edges point forward in time) and a bounded
     reorder of the affected region otherwise, instead of a re-search or an
-    O(n²) closure matrix as in {!Polygraph}.  Transactions and variables
+    O(n²) transitive-closure matrix.  Transactions and variables
     are interned to dense ids, per-transaction read/write sets are bitsets,
     and the adjacency lists live in arena-allocated (index-linked) edge
     pools, so checking a million-event history allocates a handful of flat
@@ -67,7 +67,9 @@ val check_stats : History.t -> result * stats
 
 val check_or_fallback : ?max_nodes:int -> History.t -> Verdict.t
 (** {!check}, with {!Ambiguous} resolved by {!Du_opacity.check} — same
-    verdicts as the exact search on every input. *)
+    verdicts as the exact search on every input.  The single
+    du-opacity decision path: [tm check], [tm run --check], the verify
+    engine and {!Shrink} all judge through it. *)
 
 val counterexample_cycle : History.t -> Event.tx list option
 (** The first counterexample cycle the graph closed while judging [h]:

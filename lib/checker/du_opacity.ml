@@ -3,11 +3,6 @@ let check_stats ?max_nodes ?hint h =
 
 let check ?max_nodes ?hint h = fst (check_stats ?max_nodes ?hint h)
 
-let check_fast ?max_nodes h =
-  match Conflict_opacity.attempt h with
-  | Some s -> Verdict.Sat s
-  | None -> check ?max_nodes h
-
 type inc = Search.ictx
 
 let incremental () = Search.ictx Search.du

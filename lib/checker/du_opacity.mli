@@ -21,12 +21,6 @@ val check : ?max_nodes:int -> ?hint:Event.tx list -> History.t -> Verdict.t
 val check_stats :
   ?max_nodes:int -> ?hint:Event.tx list -> History.t -> Verdict.t * Search.stats
 
-val check_fast : ?max_nodes:int -> History.t -> Verdict.t
-(** Tries the polynomial conflict-order fast path ({!Conflict_opacity})
-    before falling back to the exact search.  Same verdicts as {!check} on
-    every input; faster on histories whose conflict order is already a valid
-    serialization (e.g. histories recorded from well-behaved STMs). *)
-
 (** {1 Incremental checking}
 
     For a caller that checks an ever-growing history repeatedly — the

@@ -33,12 +33,13 @@ let check_stats ?max_nodes ?hint h =
 let check ?max_nodes ?hint h = fst (check_stats ?max_nodes ?hint h)
 
 let check_fast ?max_nodes h =
-  (* A conflict-order du-opacity certificate is verbatim a last-use one:
-     closed-writer visibility is optional, so a witness that never uses it
-     still witnesses the weaker criterion. *)
-  match Conflict_opacity.attempt h with
-  | Some s -> Sat s
-  | None -> check ?max_nodes h
+  (* A du-opacity certificate is verbatim a last-use one: closed-writer
+     visibility is optional, so a witness that never uses it still
+     witnesses the weaker criterion.  Only the graph's [Sat] transfers —
+     a du violation says nothing about last-use opacity. *)
+  match Conflict_graph.check h with
+  | Conflict_graph.Sat s -> Sat s
+  | Conflict_graph.Unsat _ | Conflict_graph.Ambiguous _ -> check ?max_nodes h
 
 type inc = Search.ictx
 

@@ -79,9 +79,10 @@ val check_stats :
   ?max_nodes:int -> ?hint:Event.tx list -> History.t -> result * Search.stats
 
 val check_fast : ?max_nodes:int -> History.t -> result
-(** Tries the polynomial conflict-order fast path ({!Conflict_opacity})
-    before the exact search — sound because a du-opacity certificate is
-    also a last-use one (optional candidate visibility). *)
+(** Tries the linear-time du-opacity graph ({!Conflict_graph.check})
+    before the exact search, adopting its certificate when it answers
+    [Sat] — sound because a du-opacity certificate is also a last-use one
+    (optional candidate visibility).  Same verdicts as {!check}. *)
 
 (** {1 Incremental checking}
 

@@ -71,6 +71,6 @@ let minimal_violation ?max_nodes ?check h =
   let check =
     match check with
     | Some f -> f
-    | None -> fun h -> Du_opacity.check_fast ?max_nodes h
+    | None -> fun h -> Conflict_graph.check_or_fallback ?max_nodes h
   in
   minimal ~bad:(fun h -> Verdict.is_unsat (check h)) h

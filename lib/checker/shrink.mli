@@ -32,6 +32,6 @@ val minimal_violation :
   History.t ->
   History.t option
 (** {!minimal} with [bad h = Verdict.is_unsat (check h)].  [check] defaults
-    to {!Du_opacity.check_fast}; any checker returning {!Verdict.t} works
-    ([Unknown] is treated as "do not keep this shrink step", so budgets
-    never produce a non-violating result). *)
+    to {!Conflict_graph.check_or_fallback}; any checker returning
+    {!Verdict.t} works ([Unknown] is treated as "do not keep this shrink
+    step", so budgets never produce a non-violating result). *)

@@ -40,9 +40,7 @@ module Tms2 = Tm_checker.Tms2
 module Rco = Tm_checker.Rco
 module Serializable = Tm_checker.Serializable
 module Snapshot_isolation = Tm_checker.Snapshot_isolation
-module Conflict_opacity = Tm_checker.Conflict_opacity
 module Conflict_graph = Tm_checker.Conflict_graph
-module Polygraph = Tm_checker.Polygraph
 module Lemmas = Tm_checker.Lemmas
 module Limit = Tm_checker.Limit
 module Shrink = Tm_checker.Shrink

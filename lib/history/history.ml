@@ -183,6 +183,22 @@ let aborted h = filter_txns (function Txn.Aborted -> true | _ -> false) h
 let commit_pending h =
   filter_txns (function Txn.Commit_pending -> true | _ -> false) h
 
+let unique_writes h =
+  let owner : (Event.tvar * Event.value, Event.tx) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  List.for_all
+    (fun (txn : Txn.t) ->
+      List.for_all
+        (fun (x, v) ->
+          match Hashtbl.find_opt owner (x, v) with
+          | Some k -> k = txn.Txn.id
+          | None ->
+              Hashtbl.replace owner (x, v) txn.Txn.id;
+              true)
+        (Txn.writes txn))
+    (infos h)
+
 let is_complete h = List.for_all Txn.is_complete (infos h)
 let is_t_complete h = List.for_all Txn.is_t_complete (infos h)
 

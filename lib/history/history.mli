@@ -62,6 +62,12 @@ val committed : t -> Event.tx list
 val aborted : t -> Event.tx list
 val commit_pending : t -> Event.tx list
 
+val unique_writes : t -> bool
+(** The paper's unique-writes assumption: no two transactions perform
+    successful writes of the same value to the same variable.  Under it
+    du-opacity is prefix-closed (Corollary 2) and coincides with opacity
+    (Theorem 11). *)
+
 val is_complete : t -> bool
 (** Every transaction is complete (all invoked operations have responses). *)
 

@@ -105,18 +105,11 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
         add Bad_certificate path "-"
           (Fmt.str "prefix %d: %s" (History.length hp) why)
   in
-  (* Batch paths: the exact search and the conflict-order fast path, both on
-     the full history. *)
+  (* Batch path: the exact search on the full history. *)
   let batch =
     timed "batch" (fun () ->
         let v = Du.check ~max_nodes h in
         (match v with Verdict.Sat c -> validate_cert "batch" h c | _ -> ());
-        v3_of_verdict v)
-  in
-  let fast =
-    timed "fast" (fun () ->
-        let v = Du.check_fast ~max_nodes h in
-        (match v with Verdict.Sat c -> validate_cert "fast" h c | _ -> ());
         v3_of_verdict v)
   in
   (* Conflict-graph backend on the full history.  [Ambiguous] maps to
@@ -253,7 +246,6 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
           (Fmt.str "%s%s=%s %s=%s" ctx a (v3_name va) b (v3_name vb))
     | _ -> ()
   in
-  cmp "batch" "fast" batch fast "";
   cmp "batch" "graph" batch graph "";
   cmp "inc" "monitor" inc monitor "";
   cmp "monitor" "sharded" monitor sharded "";
@@ -324,7 +316,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
       in
       ignore
         (timed "closure" (fun () ->
-             let unique = Tm_checker.Polygraph.unique_writes h in
+             let unique = History.unique_writes h in
              let resurrection b =
                if unique then
                  add Prefix_violation "batch" "-"
@@ -380,7 +372,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
     !arb_unknown
     || List.exists
          (fun v -> v = Some Unk3)
-         [ batch; fast; inc; monitor; sharded; lu; lu_inc ]
+         [ batch; inc; monitor; sharded; lu; lu_inc ]
     || List.exists (fun (_, v) -> v = Unk3) !inc_verdicts
     || List.exists (fun (_, v) -> v = Unk3) !lu_inc_verdicts
     || Array.exists (fun v -> v = Unk3) (Array.sub mon_by_event 0 n)

@@ -1,8 +1,8 @@
 (** Differential soak testing of the du-opacity checker paths ([tm soak]).
 
     The repo decides du-opacity in several independent ways — the batch
-    {!Tm_checker.Du_opacity.check}, its conflict-order fast path
-    [check_fast], the incremental [check_inc], the online
+    {!Tm_checker.Du_opacity.check}, the linear-time
+    {!Tm_checker.Conflict_graph}, the incremental [check_inc], the online
     {!Tm_checker.Monitor}, and the [tm serve] wire path.  The batch paths
     answer "is this history du-opaque?"; the incremental and monitor paths
     are sticky and answer "is {e every prefix} du-opaque?" — the safety
@@ -76,8 +76,8 @@ val lockstep :
   lockstep_result
 (** Run every checker path over [h] in lockstep and cross-check:
 
-    - batch [Du_opacity.check] and [Du_opacity.check_fast] on the full
-      history (certificates validated);
+    - batch [Du_opacity.check] on the full history (certificate
+      validated);
     - the conflict-graph backend ({!Tm_checker.Conflict_graph.check}) on
       the full history, certificate validated and verdict compared
       against the batch search — [Ambiguous] counts as undecided, never

@@ -7,7 +7,6 @@ let () =
     @ Test_figures.suite
     @ Test_corpus.suite
     @ Test_search.suite
-    @ Test_polygraph.suite
     @ Test_monitor.suite
     @ Test_properties.suite
     @ Test_stm.suite

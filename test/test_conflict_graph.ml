@@ -31,11 +31,24 @@ let validated name h = function
           QCheck2.Test.fail_reportf "%s: certificate rejected: %s" name why)
   | Conflict_graph.Unsat _ | Conflict_graph.Ambiguous _ -> true
 
+(* Theorem 11's domain: small generated histories with unique writes. *)
+let gen_unique_history =
+  arb_history
+    ~params:
+      {
+        Gen.default with
+        n_txns = 6;
+        n_threads = 3;
+        max_ops = 3;
+        unique_writes = true;
+      }
+    ()
+
 (* The raw backend must agree with the search whenever it decides, and the
    fallback-complete entry point must agree whenever both decide. *)
 let prop_graph_agrees =
-  qtest ~count:1000 "Conflict_graph ≡ Du_opacity over soak sources"
-    gen_soak_history
+  qtest ~count:1300 "Conflict_graph ≡ Du_opacity over soak sources"
+    (QCheck2.Gen.frequency [ (10, gen_soak_history); (3, gen_unique_history) ])
     (fun h ->
       let raw = Conflict_graph.check h in
       let v = Du_opacity.check ~max_nodes h in
@@ -76,6 +89,61 @@ let test_catalog () =
         e.Figures.du_opaque
         (Conflict_graph.check_or_fallback ~max_nodes e.Figures.history))
     Figures.catalog
+
+(* --- hand-written unique-writes fixtures ---------------------------------- *)
+
+(* Unique-writes version of fig4: T2 reads from T3, a future committer. *)
+let fig4_unique =
+  Dsl.(history [ w 1 x 1; c_inv 1; r 2 x 2; w 3 x 2; c 3; aborted 1 ])
+
+(* [`Sat ks]: the certificate validates and commits every [k] in [ks]. *)
+let fixtures =
+  let open Dsl in
+  [
+    ( "unique writes",
+      history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ],
+      `Sat [] );
+    ("dirty read", history [ w_inv 1 x 1; w_ok 1; r 2 x 1; c 2 ], `Unsat);
+    ( "write skew",
+      history
+        [ r_inv 1 x; ret 1 0; r_inv 2 y; ret 2 0; w 1 y 1; w 2 x 2; c_inv 1;
+          c_inv 2; committed 1; committed 2 ],
+      `Unsat );
+    ("unique-writes fig4 (du precondition)", fig4_unique, `Unsat);
+    ( "read of a pending writer",
+      history [ w 1 x 1; c_inv 1; r 2 x 1; c 2 ],
+      `Sat [ 1 ] );
+    (* the read of 0 could be of the initial state or of T1 *)
+    ( "initial-value writer",
+      history [ w 1 x 0; c 1; r 2 x 0; c 2 ],
+      `Ambiguous );
+  ]
+
+let test_fixtures () =
+  List.iter
+    (fun (name, h, expected) ->
+      Alcotest.(check bool)
+        (name ^ ": unique writes")
+        true (History.unique_writes h);
+      match Conflict_graph.check h, expected with
+      | Conflict_graph.Sat s, `Sat commits ->
+          (match Serialization.validate ~claim:Serialization.Du_opaque h s with
+          | Ok () -> ()
+          | Error why ->
+              Alcotest.failf "%s: certificate rejected: %s" name why);
+          List.iter
+            (fun k ->
+              Alcotest.(check bool)
+                (Fmt.str "%s: T%d committed" name k)
+                true (Serialization.commits s k))
+            commits
+      | Conflict_graph.Unsat _, `Unsat
+      | Conflict_graph.Ambiguous _, `Ambiguous ->
+          ()
+      | _ -> Alcotest.failf "%s: unexpected graph verdict" name)
+    fixtures;
+  (* Theorem 11: under unique writes opacity agrees with du-opacity. *)
+  check_unsat "unique-writes fig4: opacity agrees" (Opacity.check fig4_unique)
 
 (* --- Finding 3: duplicate written values route to the fallback ------------ *)
 
@@ -207,6 +275,7 @@ let suite =
     ( "conflict graph",
       [
         test "figure catalog parity" test_catalog;
+        test "unique-writes fixtures" test_fixtures;
         test "Finding 3 routes to fallback" test_corollary2_gap_fallback;
         test "incremental prefix verdicts" test_inc_prefix_verdicts;
         test "monitor graph fast path" test_monitor_graph_hits;

@@ -197,7 +197,7 @@ let prop_du_opacity_antitone =
   qtest ~count:15 "du-opacity survives truncation" arb_faulted_run
     (fun (seed, _, r) ->
       let h = r.Sim.Runner.history in
-      let check h = Du_opacity.check_fast ~max_nodes:1_000_000 h in
+      let check h = Conflict_graph.check_or_fallback ~max_nodes:1_000_000 h in
       match check h with
       | Verdict.Sat _ ->
           List.for_all

@@ -85,7 +85,7 @@ let test_unique_writes_is_safe () =
 let test_duplicate_writes_premise () =
   (* The counterexample indeed features duplicate writes (T1 and T6 both
      write 1 to Z) — outside Theorem 11's setting, as required. *)
-  Alcotest.(check bool) "duplicate writes" false (Polygraph.unique_writes h)
+  Alcotest.(check bool) "duplicate writes" false (History.unique_writes h)
 
 (* Finding 3: Corollary 2's statement itself fails under duplicate writes —
    a du-opaque history (tm soak's shrunk discovery) whose prefix is not. *)
@@ -107,7 +107,7 @@ let test_cor2_prefix_not_du_opaque () =
 let test_cor2_duplicate_writes_premise () =
   (* T2 and T7 both write 1 to Y — outside Theorem 11's setting.  Under
      unique writes Corollary 2 holds and this counterexample is impossible. *)
-  Alcotest.(check bool) "duplicate writes" false (Polygraph.unique_writes g_h)
+  Alcotest.(check bool) "duplicate writes" false (History.unique_writes g_h)
 
 let test_cor2_oracle_reports_closure_gap () =
   (* The lockstep oracle must classify the sticky-vs-batch disagreement on

@@ -270,6 +270,15 @@ let test_of_events_prefix () =
   Alcotest.(check int) "empty prefix" 0 (History.length empty);
   Alcotest.(check (list event)) "all torn" [ orphan ] tail
 
+let test_unique_writes () =
+  Alcotest.(check bool) "distinct values" true
+    (History.unique_writes
+       Dsl.(history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ]));
+  Alcotest.(check bool) "fig1 duplicates" false
+    (History.unique_writes Figures.fig1);
+  Alcotest.(check bool) "fig4 duplicates" false
+    (History.unique_writes Figures.fig4)
+
 let suite =
   [
     ("history: well-formedness", formation_tests);
@@ -288,6 +297,7 @@ let suite =
         test "equivalence" test_equivalent;
         test "sequential predicates" test_sequential_predicates;
         test "response indices" test_response_indices;
+        test "unique_writes predicate" test_unique_writes;
         test "of_events_prefix salvages torn logs" test_of_events_prefix;
       ] );
   ]

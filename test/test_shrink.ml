@@ -15,6 +15,7 @@ let test_shrinks_fig4_to_itself_or_smaller () =
 
 let test_shrinks_control_runs () =
   (* Violations from the broken STMs shrink to small readable cores. *)
+  let du h = Conflict_graph.check_or_fallback ~max_nodes:1_000_000 h in
   List.iter
     (fun stm ->
       let params =
@@ -30,9 +31,7 @@ let test_shrinks_control_runs () =
         if seed > 20 then None
         else
           let h = (Sim.Runner.run ~stm ~params ~seed ()).Sim.Runner.history in
-          if Verdict.is_unsat (Du_opacity.check_fast ~max_nodes:1_000_000 h)
-          then Some h
-          else hunt (seed + 1)
+          if Verdict.is_unsat (du h) then Some h else hunt (seed + 1)
       in
       match hunt 1 with
       | None -> Alcotest.failf "%s: no violation to shrink" stm
@@ -47,8 +46,7 @@ let test_shrinks_control_runs () =
                 (History.length core < History.length h
                 && History.length core <= 24);
               Alcotest.(check bool) "core still violating" true
-                (Verdict.is_unsat
-                   (Du_opacity.check_fast ~max_nodes:1_000_000 core));
+                (Verdict.is_unsat (du core));
               (* Local minimality: no single transaction is removable. *)
               List.iter
                 (fun k ->
@@ -58,8 +56,7 @@ let test_shrinks_control_runs () =
                   Alcotest.(check bool)
                     (Fmt.str "%s: dropping T%d loses the violation" stm k)
                     true
-                    (Verdict.is_sat
-                       (Du_opacity.check_fast ~max_nodes:1_000_000 without)))
+                    (Verdict.is_sat (du without)))
                 (History.txns core)))
     [ "pessimistic"; "dirty-read"; "eager" ]
 

@@ -15,7 +15,7 @@ let params =
     read_ratio = 0.5;
   }
 
-let check_du h = Du_opacity.check_fast ~max_nodes:1_000_000 h
+let check_du h = Conflict_graph.check_or_fallback ~max_nodes:1_000_000 h
 
 let seeds = List.init 20 (fun i -> i + 1)
 
@@ -158,9 +158,9 @@ let test_registry () =
     (Stm.Registry.safe @ Stm.Registry.lastuse_safe @ Stm.Registry.controls);
   Alcotest.(check bool) "unknown" true (Stm.Registry.find "nope" = None)
 
-let test_unique_workload_polygraph () =
-  (* Unique-writes workloads let the polygraph fast path decide STM
-     histories; it must agree with the general checker. *)
+let test_unique_workload_graph () =
+  (* Unique-writes workloads let the conflict graph decide STM histories
+     on its own: no fallback to the search. *)
   let params = { params with Stm.Workload.values = `Unique } in
   List.iter
     (fun seed ->
@@ -169,11 +169,14 @@ let test_unique_workload_polygraph () =
          premise — so give every program a single attempt. *)
       let r = Sim.Runner.run ~max_retries:1 ~stm:"tl2" ~params ~seed () in
       let h = r.Sim.Runner.history in
-      match Polygraph.check h with
-      | Polygraph.Sat _ -> ()
-      | Polygraph.Unsat why -> Alcotest.failf "seed %d: %s" seed why
-      | Polygraph.Not_unique why ->
-          Alcotest.failf "seed %d: unexpected duplicate: %s" seed why)
+      Alcotest.(check bool)
+        (Fmt.str "seed %d: unique writes" seed)
+        true (History.unique_writes h);
+      match Conflict_graph.check h with
+      | Conflict_graph.Sat _ -> ()
+      | Conflict_graph.Unsat why -> Alcotest.failf "seed %d: %s" seed why
+      | Conflict_graph.Ambiguous why ->
+          Alcotest.failf "seed %d: graph undecided: %s" seed why)
     (List.init 10 (fun i -> i + 100))
 
 (* The recorded log survives being cut by an omission plan: Parallel.run
@@ -228,6 +231,6 @@ let suite =
         slow "parallel tl2 (domains) du-opaque" (test_parallel_recorded "tl2");
         slow "parallel norec (domains) du-opaque" (test_parallel_recorded "norec");
         slow "parallel torn-tail accounting" test_parallel_torn_accounting;
-        slow "unique workload via polygraph" test_unique_workload_polygraph;
+        slow "unique workload via conflict graph" test_unique_workload_graph;
       ] );
   ]
