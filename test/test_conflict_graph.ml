@@ -47,8 +47,8 @@ let gen_unique_history =
 (* The raw backend must agree with the search whenever it decides, and the
    fallback-complete entry point must agree whenever both decide. *)
 let prop_graph_agrees =
-  qtest ~count:1300 "Conflict_graph ≡ Du_opacity over soak sources"
-    (QCheck2.Gen.frequency [ (10, gen_soak_history); (3, gen_unique_history) ])
+  qtest ~count:1000 "Conflict_graph ≡ Du_opacity over soak sources"
+    gen_soak_history
     (fun h ->
       let raw = Conflict_graph.check h in
       let v = Du_opacity.check ~max_nodes h in
@@ -71,6 +71,21 @@ let prop_graph_agrees =
       in
       raw_ok && fb_ok)
 
+(* Under unique writes reads-from is determined, so the graph decides all
+   but the initial-value-writer case; whatever it decides must match the
+   search, and every Sat must carry a valid certificate. *)
+let prop_unique_agrees =
+  qtest ~count:300 "conflict graph = search under unique writes"
+    gen_unique_history
+    (fun h ->
+      QCheck2.assume (History.unique_writes h);
+      match Conflict_graph.check h, Du_opacity.check ~max_nodes h with
+      | _, Verdict.Unknown _ -> QCheck2.assume_fail ()
+      | (Conflict_graph.Sat _ as raw), Verdict.Sat _ -> validated "unique" h raw
+      | Conflict_graph.Unsat _, Verdict.Unsat _ -> true
+      | Conflict_graph.Ambiguous _, _ -> true
+      | _ -> false)
+
 (* --- figure-catalog parity ------------------------------------------------ *)
 
 let test_catalog () =
@@ -92,58 +107,90 @@ let test_catalog () =
 
 (* --- hand-written unique-writes fixtures ---------------------------------- *)
 
-(* Unique-writes version of fig4: T2 reads from T3, a future committer. *)
-let fig4_unique =
-  Dsl.(history [ w 1 x 1; c_inv 1; r 2 x 2; w 3 x 2; c 3; aborted 1 ])
+let check_unique name h =
+  Alcotest.(check bool) (name ^ ": unique writes") true (History.unique_writes h)
 
-(* [`Sat ks]: the certificate validates and commits every [k] in [ks]. *)
-let fixtures =
-  let open Dsl in
-  [
-    ( "unique writes",
-      history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ],
-      `Sat [] );
-    ("dirty read", history [ w_inv 1 x 1; w_ok 1; r 2 x 1; c 2 ], `Unsat);
-    ( "write skew",
+(* The graph must answer [Sat] with a certificate the validator accepts. *)
+let certified name h =
+  match Conflict_graph.check h with
+  | Conflict_graph.Sat s -> (
+      match Serialization.validate ~claim:Serialization.Du_opaque h s with
+      | Ok () -> s
+      | Error why -> Alcotest.failf "%s: certificate rejected: %s" name why)
+  | Conflict_graph.Unsat why -> Alcotest.failf "%s: expected Sat, got Unsat: %s" name why
+  | Conflict_graph.Ambiguous why ->
+      Alcotest.failf "%s: expected Sat, got Ambiguous: %s" name why
+
+let refused name h =
+  match Conflict_graph.check h with
+  | Conflict_graph.Unsat why -> why
+  | Conflict_graph.Sat s ->
+      Alcotest.failf "%s: expected Unsat, got Sat (%a)" name Serialization.pp s
+  | Conflict_graph.Ambiguous why ->
+      Alcotest.failf "%s: expected Unsat, got Ambiguous: %s" name why
+
+let undecided name h =
+  match Conflict_graph.check h with
+  | Conflict_graph.Ambiguous _ -> ()
+  | Conflict_graph.Sat _ | Conflict_graph.Unsat _ ->
+      Alcotest.failf "%s: the graph must fall back, not decide" name
+
+let test_sat () =
+  let h = Dsl.(history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ]) in
+  check_unique "sat" h;
+  ignore (certified "sat" h)
+
+let test_unsat_dirty () =
+  (* Read from a live transaction. *)
+  let h = Dsl.(history [ w_inv 1 x 1; w_ok 1; r 2 x 1; c 2 ]) in
+  check_unique "dirty read" h;
+  ignore (refused "dirty read" h)
+
+let test_unsat_cycle () =
+  (* Unique-writes write skew. *)
+  let h =
+    Dsl.(
       history
         [ r_inv 1 x; ret 1 0; r_inv 2 y; ret 2 0; w 1 y 1; w 2 x 2; c_inv 1;
-          c_inv 2; committed 1; committed 2 ],
-      `Unsat );
-    ("unique-writes fig4 (du precondition)", fig4_unique, `Unsat);
-    ( "read of a pending writer",
-      history [ w 1 x 1; c_inv 1; r 2 x 1; c 2 ],
-      `Sat [ 1 ] );
-    (* the read of 0 could be of the initial state or of T1 *)
-    ( "initial-value writer",
-      history [ w 1 x 0; c 1; r 2 x 0; c 2 ],
-      `Ambiguous );
-  ]
+          c_inv 2; committed 1; committed 2 ])
+  in
+  check_unique "write skew" h;
+  ignore (refused "write skew" h)
 
-let test_fixtures () =
-  List.iter
-    (fun (name, h, expected) ->
-      Alcotest.(check bool)
-        (name ^ ": unique writes")
-        true (History.unique_writes h);
-      match Conflict_graph.check h, expected with
-      | Conflict_graph.Sat s, `Sat commits ->
-          (match Serialization.validate ~claim:Serialization.Du_opaque h s with
-          | Ok () -> ()
-          | Error why ->
-              Alcotest.failf "%s: certificate rejected: %s" name why);
-          List.iter
-            (fun k ->
-              Alcotest.(check bool)
-                (Fmt.str "%s: T%d committed" name k)
-                true (Serialization.commits s k))
-            commits
-      | Conflict_graph.Unsat _, `Unsat
-      | Conflict_graph.Ambiguous _, `Ambiguous ->
-          ()
-      | _ -> Alcotest.failf "%s: unexpected graph verdict" name)
-    fixtures;
+let test_declines_duplicates () =
+  (* T1 and T2 both write 1 to X: T3's read has two candidate writers, so
+     reads-from is not determined and only the search may decide. *)
+  let h = Dsl.(history [ w 1 x 1; c 1; w 2 x 1; c 2; r 3 x 1; c 3 ]) in
+  Alcotest.(check bool) "duplicate writes" false (History.unique_writes h);
+  undecided "duplicate writes" h;
+  check_sat "duplicate writes (fallback)"
+    (Conflict_graph.check_or_fallback ~max_nodes h)
+
+let test_initial_value_writer_ambiguity () =
+  (* The read of 0 could be of the initial state or of T1. *)
+  let h = Dsl.(history [ w 1 x 0; c 1; r 2 x 0; c 2 ]) in
+  check_unique "initial-value writer" h;
+  undecided "initial-value writer" h;
+  check_sat "initial-value writer (fallback)"
+    (Conflict_graph.check_or_fallback ~max_nodes h)
+
+let test_forced_commit_of_pending () =
+  (* T1's tryC is pending; T2 reads its value: the certificate must commit
+     T1. *)
+  let h = Dsl.(history [ w 1 x 1; c_inv 1; r 2 x 1; c 2 ]) in
+  check_unique "pending writer" h;
+  let s = certified "pending writer" h in
+  Alcotest.(check bool) "T1 committed" true (Serialization.commits s 1)
+
+let test_du_precondition () =
+  (* Unique-writes version of fig4: T2 reads from T3, a future committer. *)
+  let h =
+    Dsl.(history [ w 1 x 1; c_inv 1; r 2 x 2; w 3 x 2; c 3; aborted 1 ])
+  in
+  check_unique "unique-writes fig4" h;
+  ignore (refused "unique-writes fig4" h);
   (* Theorem 11: under unique writes opacity agrees with du-opacity. *)
-  check_unsat "unique-writes fig4: opacity agrees" (Opacity.check fig4_unique)
+  check_unsat "unique-writes fig4: opacity agrees" (Opacity.check h)
 
 (* --- Finding 3: duplicate written values route to the fallback ------------ *)
 
@@ -275,12 +322,20 @@ let suite =
     ( "conflict graph",
       [
         test "figure catalog parity" test_catalog;
-        test "unique-writes fixtures" test_fixtures;
+        test "sat + certificate" test_sat;
+        test "unsat: read from live" test_unsat_dirty;
+        test "unsat: write skew" test_unsat_cycle;
+        test "declines duplicates" test_declines_duplicates;
+        test "initial-value writer ambiguity"
+          test_initial_value_writer_ambiguity;
+        test "forces commit of pending writer" test_forced_commit_of_pending;
+        test "du precondition (Thm 11 shape)" test_du_precondition;
         test "Finding 3 routes to fallback" test_corollary2_gap_fallback;
         test "incremental prefix verdicts" test_inc_prefix_verdicts;
         test "monitor graph fast path" test_monitor_graph_hits;
         test "monitor graph Unsat path" test_monitor_graph_unsat;
         slow "offline check, ~10k events" test_offline_medium;
         prop_graph_agrees;
+        prop_unique_agrees;
       ] );
   ]

@@ -68,6 +68,29 @@ let test_non_closing_write_refused () =
   check_unsat "intermediate value: not du-opaque" (du h);
   check_unsat "intermediate value: not last-use-opaque" (lu h)
 
+(* --- check_fast: the graph's Sat transfers, its Unsat does not ----------- *)
+
+let test_check_fast_graph_leg () =
+  (* du-opaque with unique writes: the conflict graph decides, and its
+     certificate must stand as a last-use one. *)
+  let h = of_text "W1(X,1)->ok C1->C R2(X)->1 W3(X,2)->ok C3->C C2->C" in
+  (match Conflict_graph.check h with
+  | Conflict_graph.Sat _ -> ()
+  | Conflict_graph.Unsat why | Conflict_graph.Ambiguous why ->
+      Alcotest.failf "graph should decide Sat: %s" why);
+  let fast h = Last_use_opacity.to_verdict (Last_use_opacity.check_fast h) in
+  check_lu_certified "graph certificate as last-use" h (fast h);
+  check_sat "du-opaque: last-use via check_fast" (fast h);
+  (* The separating fixture: the graph refuses du-opacity, yet check_fast
+     must still accept, since a du violation says nothing about last-use
+     opacity. *)
+  let sep = of_text "W1(X,1)->ok R2(X)->1 C1->C C2->C" in
+  (match Conflict_graph.check sep with
+  | Conflict_graph.Sat _ -> Alcotest.fail "graph accepted a dirty read"
+  | Conflict_graph.Unsat _ | Conflict_graph.Ambiguous _ -> ());
+  check_sat "separating pair: check_fast" (fast sep);
+  check_lu_certified "separating pair certificate" sep (fast sep)
+
 (* --- Decoration ---------------------------------------------------------- *)
 
 let test_decoration () =
@@ -238,6 +261,8 @@ let suite =
         test "separating: committed pair" test_separating_committed;
         test "separating: aborted pair" test_separating_aborted;
         test "cascading abort refused by both" test_cascading_abort_neither;
+        test "check_fast: graph Sat transfers, Unsat does not"
+          test_check_fast_graph_leg;
         test "clean abort accepted by both" test_clean_abort_both;
         test "reciprocal release refused" test_reciprocal_release_refused;
         test "non-closing write refused" test_non_closing_write_refused;

@@ -116,6 +116,17 @@ let prop_unique_writes_equiv =
 
 (* --- The graph-then-search entry point decides exactly as the search --- *)
 
+(* The graph alone never contradicts the search: on snapshot and
+   random-valued histories alike, whatever it decides the search decides
+   the same way. *)
+let prop_graph_sound =
+  qtest ~count:300 "conflict graph never contradicts the search" mixed
+    (fun h ->
+      match Conflict_graph.check h with
+      | Conflict_graph.Sat _ -> sat "du" (du h)
+      | Conflict_graph.Unsat _ -> not (sat "du" (du h))
+      | Conflict_graph.Ambiguous _ -> true)
+
 let prop_check_or_fallback_agrees =
   qtest ~count:200 "check_or_fallback = check" mixed (fun h ->
       sat "graph" (Conflict_graph.check_or_fallback ?max_nodes:budget h)
@@ -316,6 +327,7 @@ let suite =
         prop_invocation_extension;
         prop_chain_t_complete;
         prop_unique_writes_equiv;
+        prop_graph_sound;
         prop_check_or_fallback_agrees;
         prop_rco_implies_du;
         prop_certificates_validate;
