@@ -854,6 +854,15 @@ module Inc = struct
             | Sat _ -> ());
             r))
 
+  (* Mirrors the first two cases of [verdict].  A poison recorded at the
+     current index (by [verdict] itself) is not yet final: a violation
+     found while pushing the event at that same index would win. *)
+  let ambiguous_forever g =
+    match (g.poison, g.violation) with
+    | Some (pi, _), Some (vi, _) -> pi < vi
+    | Some (pi, _), None -> pi < g.idx
+    | None, _ -> false
+
   let events g = g.idx
   let cycle g = Option.map (List.map (tx g)) g.cycle
 

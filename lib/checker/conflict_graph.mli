@@ -100,6 +100,12 @@ module Inc : sig
       (monotone: they remain valid for every later verdict) and runs the
       linear replay validation on success. *)
 
+  val ambiguous_forever : t -> bool
+  (** Every {!verdict} from now on is [Ambiguous], whatever is pushed: the
+      state was poisoned before any violation was found.  Never reverts
+      from [true] to [false], so a caller may stop pushing once it holds —
+      the {!Monitor} does. *)
+
   val events : t -> int
 
   val stats : t -> stats

@@ -11,6 +11,19 @@ type outcome = [ `Ok | `Violation of string | `Budget of string ]
    [Serialization.validate ~claim:Du_opaque history (certificate)] holds.
    Every fast-path acceptance below preserves it by construction; the
    search fallback re-establishes it with a fresh witness. *)
+
+(* What revalidation needs of one transaction, kept up to date by [push]
+   so that a response costs table lookups instead of rebuilding
+   [History.info] summaries ([Txn.final_writes] allocates and sorts on every
+   call) for each certificate predecessor it scans. *)
+type txn = {
+  mutable pending : Event.invocation;  (* the latest invocation *)
+  mutable tryc : int;  (* index of the tryC invocation; [max_int] before *)
+  mutable final_writes : (Event.tvar * Event.value) list;
+      (* latest successful write per variable, one entry each *)
+  mutable reads : Txn.read list;  (* value-returning reads, newest first *)
+}
+
 type t = {
   max_nodes : int option;
   inc : Du_opacity.inc;  (* persistent search context for the fallback *)
@@ -36,8 +49,8 @@ type t = {
          C_k/A_k.  [snapshot] is taken per batch by the streaming service,
          so recomputing this from [History.infos] (O(T log T)) would make
          per-session accounting quadratic over a stream. *)
-  seen : (Event.tx, unit) Hashtbl.t;
-      (* transactions already in the running certificate's order — O(1)
+  txns : (Event.tx, txn) Hashtbl.t;
+      (* every transaction in the running certificate's order — O(1)
          membership where scanning the order would make a long stream of
          permanently-pending transactions quadratic *)
 }
@@ -60,7 +73,7 @@ let create ?max_nodes () =
     searches_run = 0;
     nodes_total = 0;
     pending = 0;
-    seen = Hashtbl.create 64;
+    txns = Hashtbl.create 64;
   }
 
 let force_forward m =
@@ -136,15 +149,7 @@ let run_search m h' =
    and the local-serialization expectation (latest committed writer retained
    by the deferred-update filter, Definition 3(3)); a valid certificate needs
    the read to return both. *)
-let expected m h ~skip ~res_index var before_rev =
-  let final_write w =
-    List.assoc_opt var (Txn.final_writes (History.info h w))
-  in
-  let retained w =
-    match Txn.tryc_inv_index (History.info h w) with
-    | Some j -> j < res_index
-    | None -> false
-  in
+let expected m ~skip ~res_index var before_rev =
   let rec go sem du = function
     | [] ->
         ( Option.value sem ~default:Event.init_value,
@@ -153,19 +158,18 @@ let expected m h ~skip ~res_index var before_rev =
         match sem, du with
         | Some s, Some d -> (s, d)
         | _ when w = skip -> go sem du rest
-        | _ ->
-            if Serialization.Tx_set.mem w m.committed then
-              match final_write w with
-              | Some v ->
-                  let sem = match sem with Some _ -> sem | None -> Some v in
-                  let du =
-                    match du with
-                    | Some _ -> du
-                    | None -> if retained w then Some v else None
-                  in
-                  go sem du rest
-              | None -> go sem du rest
-            else go sem du rest)
+        | _ -> (
+            let txn = Hashtbl.find m.txns w in
+            match List.assoc_opt var txn.final_writes with
+            | Some v when Serialization.Tx_set.mem w m.committed ->
+                let sem = match sem with Some _ -> sem | None -> Some v in
+                let du =
+                  match du with
+                  | Some _ -> du
+                  | None -> if txn.tryc < res_index then Some v else None
+                in
+                go sem du rest
+            | Some _ | None -> go sem du rest))
   in
   go None None before_rev
 
@@ -176,30 +180,24 @@ let expected m h ~skip ~res_index var before_rev =
    an entry that contributed nothing (aborted, or committing just now with
    no read downstream of the move), and the real-time clause cannot bind
    [k] forward since [k]'s latest event is the newest in the history. *)
-let reads_valid_at_end m h k =
-  let txn = History.info h k in
+let reads_valid_at_end m k =
   List.for_all
     (fun (r : Txn.read) ->
       match r.Txn.kind with
       | `Internal own -> r.Txn.value = own
       | `External ->
           let sem, du =
-            expected m h ~skip:k ~res_index:r.Txn.res_index r.Txn.var
+            expected m ~skip:k ~res_index:r.Txn.res_index r.Txn.var
               m.rev_order
           in
           r.Txn.value = sem && r.Txn.value = du)
-    (Txn.reads txn)
+    (Hashtbl.find m.txns k).reads
 
 let move_to_end m k =
   (match m.rev_order with
   | k' :: _ when k' = k -> ()  (* already last *)
   | _ -> m.rev_order <- k :: List.filter (fun k' -> k' <> k) m.rev_order);
   m.forward <- None
-
-let rec last_read = function
-  | [] -> None
-  | [ (r : Txn.read) ] -> Some r
-  | _ :: rest -> last_read rest
 
 let handle_response m h' k res =
   let hit () =
@@ -218,10 +216,9 @@ let handle_response m h' k res =
          hence certificate-aborted) to the end of the order — the common
          case of a read that observed a transaction committed after [k]'s
          birth.  Only then search. *)
-      let txn = History.info h' k in
-      match last_read (Txn.reads txn) with
-      | None -> run_search m h' (* defensive: cannot happen on Read_ok *)
-      | Some r ->
+      match (Hashtbl.find m.txns k).reads with
+      | [] -> run_search m h' (* defensive: cannot happen on Read_ok *)
+      | r :: _ ->
           let ok_in_place =
             match r.Txn.kind with
             | `Internal own -> v = own
@@ -231,13 +228,13 @@ let handle_response m h' k res =
                   | k' :: rest -> if k' = k then rest else drop_to rest
                 in
                 let sem, du =
-                  expected m h' ~skip:0 ~res_index:r.Txn.res_index r.Txn.var
+                  expected m ~skip:0 ~res_index:r.Txn.res_index r.Txn.var
                     (drop_to m.rev_order)
                 in
                 v = sem && v = du
           in
           if ok_in_place then hit ()
-          else if reads_valid_at_end m h' k then begin
+          else if reads_valid_at_end m k then begin
             move_to_end m k;
             hit ()
           end
@@ -247,7 +244,7 @@ let handle_response m h' k res =
         (* An earlier search already decided to commit [k]; the response
            merely resolves the pending tryC the way the certificate does. *)
         hit ()
-      else if reads_valid_at_end m h' k then begin
+      else if reads_valid_at_end m k then begin
         (* Flip [k]'s decision to commit while moving it to the end: its
            writes become visible to no one (nothing reads after the newest
            event) and the deferred-update filter retains it for no earlier
@@ -298,6 +295,50 @@ let handle_response m h' k res =
         | Error _ -> run_search m h'
       end
 
+(* Keep [k]'s table entry in step with the accepted event [ev] at [index]. *)
+let record m index ev =
+  match ev with
+  | Event.Inv (k, inv) -> (
+      let tryc =
+        match inv with
+        | Event.Try_commit -> index
+        | Event.Read _ | Event.Write _ | Event.Try_abort -> max_int
+      in
+      match Hashtbl.find_opt m.txns k with
+      | Some txn ->
+          txn.pending <- inv;
+          txn.tryc <- min tryc txn.tryc
+      | None ->
+          (* A transaction that never responds again — a crashed thread, a
+             stalled tryC — simply stays registered here forever: it
+             constrains nothing until a response event involves it. *)
+          Hashtbl.replace m.txns k
+            { pending = inv; tryc; final_writes = []; reads = [] };
+          m.rev_order <- k :: m.rev_order;
+          m.forward <- None;
+          m.pending <- m.pending + 1)
+  | Event.Res (k, res) -> (
+      let txn = Hashtbl.find m.txns k in
+      match txn.pending, res with
+      | Event.Write (x, v), Event.Write_ok ->
+          txn.final_writes <-
+            (x, v) :: List.filter (fun (y, _) -> y <> x) txn.final_writes
+      | Event.Read x, Event.Read_ok v ->
+          let kind =
+            match List.assoc_opt x txn.final_writes with
+            | Some own -> `Internal own
+            | None -> `External
+          in
+          txn.reads <-
+            { Txn.var = x; value = v; res_index = index; kind } :: txn.reads
+      | _, (Event.Committed | Event.Aborted) ->
+          (* [extend] validated the response against [k]'s pending
+             invocation, so C_k/A_k t-completes exactly one counted
+             transaction; later events for [k] are ill-formed and never
+             reach here. *)
+          m.pending <- m.pending - 1
+      | _, (Event.Write_ok | Event.Read_ok _) -> ())
+
 let push m ev =
   match m.failed with
   | Some o -> o
@@ -307,29 +348,17 @@ let push m ev =
       | Error e -> fail m (`Violation (Fmt.str "%a" History.pp_error e))
       | Ok h' -> (
           m.history <- h';
-          Conflict_graph.Inc.push m.graph ev;
+          (* Once the graph can only answer [Ambiguous] it stays that way,
+             so feeding it further events is wasted work. *)
+          if not (Conflict_graph.Inc.ambiguous_forever m.graph) then
+            Conflict_graph.Inc.push m.graph ev;
+          record m (History.length h' - 1) ev;
           match ev with
-          | Event.Inv (k, _) ->
+          | Event.Inv _ ->
               (* Extending by an invocation preserves du-opacity and its
-                 certificate (see .mli); only register the new transaction.
-                 A transaction that never responds again — a crashed thread,
-                 a stalled tryC — simply stays registered here forever: it
-                 constrains nothing until a response event involves it. *)
-              if not (Hashtbl.mem m.seen k) then begin
-                Hashtbl.replace m.seen k ();
-                m.rev_order <- k :: m.rev_order;
-                m.forward <- None;
-                m.pending <- m.pending + 1
-              end;
+                 certificate (see .mli). *)
               `Ok
           | Event.Res (k, res) ->
-              (* [extend] validated the response against [k]'s pending
-                 invocation, so C_k/A_k t-completes exactly one counted
-                 transaction; later events for [k] are ill-formed and never
-                 reach here. *)
-              (match res with
-              | Event.Committed | Event.Aborted -> m.pending <- m.pending - 1
-              | Event.Read_ok _ | Event.Write_ok -> ());
               m.responses_seen <- m.responses_seen + 1;
               handle_response m h' k res))
 

@@ -28,6 +28,17 @@
     well-behaved streams (e.g. recorded from TL2 or NOrec) nearly all
     responses are absorbed by revalidation; see {!fastpath_hits}.
 
+    Revalidation reads a per-transaction table that {!push} keeps up to
+    date — each transaction's [tryC] invocation index, its final write per
+    variable and its value-returning reads — so a response costs a table
+    lookup plus a scan of the reader's certificate predecessors, newest
+    first, that stops once the latest committed writer of the variable and
+    the latest one the deferred-update filter retains are both found —
+    never a rebuilt {!History.info} summary.  The few responses that need
+    the full validator pay O(n log T) for [n] events and [T] transactions.
+    Once the conflict graph is poisoned for good
+    ({!Conflict_graph.Inc.ambiguous_forever}) the monitor stops feeding it.
+
     The monitor accepts {e incomplete} input gracefully: histories whose
     final event leaves transactions live or commit-pending (crashed
     threads, stalled [tryC]s, truncated traces) are first-class — pending

@@ -68,51 +68,55 @@ let check_decisions h s =
     (Ok ()) s.order
 
 let check_real_time h s =
-  (* Clause (2) of Definition 3: T_k ≺RT T_m implies T_k <S T_m. *)
-  let rec go = function
-    | [] -> Ok ()
-    | k :: rest ->
-        if List.exists (fun m -> History.rt_precedes h m k) rest then
-          let m = List.find (fun m -> History.rt_precedes h m k) rest in
-          Error
-            (Fmt.str "real-time order violated: T%d precedes T%d in the \
-                      history but follows it in the serialization" m k)
-        else go rest
+  (* Clause (2) of Definition 3: T_k ≺RT T_m implies T_k <S T_m.  A
+     transaction T_k is out of place iff some t-complete T_m after it in
+     the order ends before T_k starts, so a suffix minimum of the last
+     indices of t-complete transactions finds the first offender in one
+     pass; its witness T_m is then the first such transaction after it. *)
+  let infos = Array.of_list (List.map (History.info h) s.order) in
+  let n = Array.length infos in
+  let suffix_min = Array.make (n + 1) max_int in
+  for i = n - 1 downto 0 do
+    let txn = infos.(i) in
+    suffix_min.(i) <-
+      (if Txn.is_t_complete txn then min txn.Txn.last_index suffix_min.(i + 1)
+       else suffix_min.(i + 1))
+  done;
+  let rec offender i =
+    if i >= n then None
+    else if suffix_min.(i + 1) < infos.(i).Txn.first_index then Some i
+    else offender (i + 1)
   in
-  go s.order
+  match offender 0 with
+  | None -> Ok ()
+  | Some i ->
+      let start = infos.(i).Txn.first_index in
+      let rec witness j =
+        let txn = infos.(j) in
+        if Txn.is_t_complete txn && txn.Txn.last_index < start then txn.Txn.id
+        else witness (j + 1)
+      in
+      Error
+        (Fmt.str "real-time order violated: T%d precedes T%d in the \
+                  history but follows it in the serialization"
+           (witness (i + 1)) infos.(i).Txn.id)
 
 (* Clause (3) of Definition 3, recomputed directly from the definition of the
    local serialization S^{k,X}_H.  For each value-returning read, replay the
    serialization prefix before T_k keeping only transactions T_m whose
    tryC_m invocation appears in H before the read's response. *)
 let check_local_serializations h s =
-  (* Per-transaction data is derived once: [Txn.final_writes] and
-     [tryc_inv_index] allocate on every call, and this check walks them per
-     (read, predecessor) pair. *)
-  let tryc_cache = Hashtbl.create 16 in
-  let writes_cache = Hashtbl.create 16 in
-  let tryc_inv k =
-    match Hashtbl.find_opt tryc_cache k with
-    | Some v -> v
-    | None ->
-        let v = Txn.tryc_inv_index (History.info h k) in
-        Hashtbl.replace tryc_cache k v;
-        v
+  (* One pass over the order.  [writers] maps each variable [x] to the
+     [(tryC invocation index, final value)] of every committed predecessor
+     that writes [x], newest first.  The local serialization of a read
+     exposes the first of them whose tryC was invoked before the read's
+     response — the deferred-update filter — so a read only steps over
+     the committed writers of its variable that invoked tryC after it
+     responded. *)
+  let writers : (Event.tvar, (int * Event.value) list) Hashtbl.t =
+    Hashtbl.create 16
   in
-  let final_writes k =
-    match Hashtbl.find_opt writes_cache k with
-    | Some v -> v
-    | None ->
-        let v = Txn.final_writes (History.info h k) in
-        Hashtbl.replace writes_cache k v;
-        v
-  in
-  (* The serialization prefix before the transaction under scrutiny is
-     accumulated in reverse — an O(1) cons per step instead of an O(n)
-     append — and scanned latest-first, so the first retained committed
-     writer found is the one the local serialization exposes and the scan
-     can stop there. *)
-  let check_read k before_rev (read : Txn.read) =
+  let check_read k (read : Txn.read) =
     match read.Txn.kind with
     | `Internal own ->
         if read.Txn.value = own then Ok ()
@@ -121,22 +125,14 @@ let check_local_serializations h s =
             (Fmt.str "T%d: internal read of %a returned %d, own write was %d"
                k Event.pp_tvar read.Txn.var read.Txn.value own)
     | `External ->
-        let retained m =
-          match tryc_inv m with
-          | Some i -> i < read.Txn.res_index
-          | None -> false
-        in
-        let rec latest = function
-          | [] -> None
-          | m :: rest ->
-              if commits s m && retained m then
-                match List.assoc_opt read.Txn.var (final_writes m) with
-                | Some v -> Some v
-                | None -> latest rest
-              else latest rest
-        in
         let expected =
-          Option.value (latest before_rev) ~default:Event.init_value
+          match
+            List.find_opt
+              (fun (tryc, _) -> tryc < read.Txn.res_index)
+              (Option.value (Hashtbl.find_opt writers read.Txn.var) ~default:[])
+          with
+          | Some (_, v) -> v
+          | None -> Event.init_value
         in
         if read.Txn.value = expected then Ok ()
         else
@@ -146,7 +142,7 @@ let check_local_serializations h s =
                 (deferred-update filter) yields %d"
                k Event.pp_tvar read.Txn.var read.Txn.value expected)
   in
-  let rec go before_rev = function
+  let rec go = function
     | [] -> Ok ()
     | k :: rest ->
         let txn = History.info h k in
@@ -155,14 +151,25 @@ let check_local_serializations h s =
             (fun acc read ->
               match acc with
               | Error _ -> acc
-              | Ok () -> check_read k before_rev read)
+              | Ok () -> check_read k read)
             (Ok ()) (Txn.reads txn)
         in
         (match result with
         | Error _ -> result
-        | Ok () -> go (k :: before_rev) rest)
+        | Ok () ->
+            (match Txn.tryc_inv_index txn with
+            | Some tryc when commits s k ->
+                List.iter
+                  (fun (x, v) ->
+                    let older =
+                      Option.value (Hashtbl.find_opt writers x) ~default:[]
+                    in
+                    Hashtbl.replace writers x ((tryc, v) :: older))
+                  (Txn.final_writes txn)
+            | Some _ | None -> ());
+            go rest)
   in
-  go [] s.order
+  go s.order
 
 (* Last-use legality (the [Last_use] claim), replayed over the
    serialization order directly.  [Semantics.legal] is deliberately NOT

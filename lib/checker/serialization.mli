@@ -51,7 +51,12 @@ val validate :
 (** [validate ~claim h s] — defaults: [claim = Du_opaque],
     [respect_rt = true].  [respect_rt:false] drops clause (2) (used for
     plain serializability).  On failure the error pinpoints the violated
-    clause. *)
+    clause.  O(n log T) for [n] events and [T] transactions: the real-time
+    clause is one suffix-minimum pass over the order, and each read's local
+    serialization comes from a per-variable stack of committed writers,
+    where the read only steps over writers ordered before it whose [tryC]
+    was invoked after it responded.  The [Last_use] claim scans a read's
+    preceding writers and may take O(T) per read. *)
 
 val to_history : History.t -> t -> History.t
 (** The t-complete t-sequential history [S] denoted by the certificate:

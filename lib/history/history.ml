@@ -227,12 +227,16 @@ let ls_precedes h k m =
       Txn.is_complete txn && txn.Txn.last_index < im.Txn.first_index)
     (live_set h k)
 
+(* [infos] is in first-event order, so no two transactions overlap iff each
+   one real-time-precedes its successor in that order (the relation is then
+   transitive); the last transaction may still be running. *)
 let is_t_sequential h =
-  let ts = txns h in
-  List.for_all
-    (fun k ->
-      List.for_all (fun m -> k = m || rt_precedes h k m || rt_precedes h m k) ts)
-    ts
+  let rec go = function
+    | (a : Txn.t) :: ((b : Txn.t) :: _ as rest) ->
+        Txn.is_t_complete a && a.Txn.last_index < b.Txn.first_index && go rest
+    | [ _ ] | [] -> true
+  in
+  go (infos h)
 
 let is_sequential h =
   let ok = ref true in
@@ -263,8 +267,11 @@ let extend h ev =
   match step (summary h) h.len ev with
   | Error _ as e -> e
   | Ok s ->
+      (* A zero-length history never claims its buffer: [empty] is one
+         value shared by every monitor on every domain, so claiming its
+         buffer would let two first extensions write into one array. *)
       let buf =
-        if h.buf.used = h.len then h.buf
+        if h.len > 0 && h.buf.used = h.len then h.buf
         else { arr = Array.sub h.buf.arr 0 h.len; used = h.len }
       in
       let cap = Array.length buf.arr in

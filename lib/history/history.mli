@@ -75,7 +75,9 @@ val is_t_complete : t -> bool
 (** Every transaction ends with [C_k] or [A_k]. *)
 
 val is_t_sequential : t -> bool
-(** No two transactions overlap. *)
+(** No two transactions overlap.  O(T) over the transaction summaries: in
+    first-event order each transaction must be t-complete and end before
+    the next one starts (the last one may still be running). *)
 
 val is_sequential : t -> bool
 (** Every invocation is immediately followed by its matching response (or is
@@ -106,7 +108,8 @@ val prefix : t -> int -> t
 
 val extend : t -> Event.t -> (t, error) result
 (** Append one event, revalidating incrementally.  Amortised O(1); used by
-    the online monitor. *)
+    the online monitor.  Safe to call on {!empty} from several domains at
+    once: extending a zero-length history always allocates fresh storage. *)
 
 val is_prefix : t -> of_:t -> bool
 (** [is_prefix h ~of_:g] — the events of [h] are the first [length h]

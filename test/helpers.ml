@@ -45,3 +45,40 @@ let arb_history ?(params = Gen.default) () =
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* A duplicate-value recording: STM retries rewrite the same value
+   ([`Range 100] over 8 variables), so the conflict graph answers
+   [Ambiguous] and the monitor's revalidation and search do the work.
+   [faults] injects crashes, stalls and spurious aborts. *)
+let dup_history ?(faults = false) ~stm ~txns seed =
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = 3;
+      txns_per_thread = (txns + 2) / 3;
+      ops_per_txn = 3;
+      n_vars = 8;
+      values = `Range 100;
+    }
+  in
+  if faults then
+    let spec =
+      Sim.Faults.sample ~n_threads:3 ~horizon:(Sim.Faults.horizon params) ~seed
+        ()
+    in
+    (Sim.Faults.run_one ~check:false ~stm ~params ~spec ~seed ())
+      .Sim.Faults.history
+  else (Sim.Runner.run ~stm ~params ~seed ()).Sim.Runner.history
+
+(* The duplicate-value sources: TL2, MVCC and NOrec recordings, and
+   fault-injected TL2, of [txns] transactions each. *)
+let arb_dup_history ~txns =
+  QCheck2.Gen.map2
+    (fun kind seed ->
+      match kind with
+      | 0 -> dup_history ~stm:"tl2" ~txns seed
+      | 1 -> dup_history ~stm:"mvcc" ~txns seed
+      | 2 -> dup_history ~stm:"norec" ~txns seed
+      | _ -> dup_history ~faults:true ~stm:"tl2" ~txns seed)
+    QCheck2.Gen.(0 -- 3)
+    QCheck2.Gen.(0 -- 1_000_000)

@@ -1,6 +1,13 @@
 open Tm_safety
 open Helpers
 
+let outcome =
+  Alcotest.of_pp (fun ppf (o : Monitor.outcome) ->
+      match o with
+      | `Ok -> Fmt.string ppf "ok"
+      | `Violation w -> Fmt.pf ppf "violation(%s)" w
+      | `Budget w -> Fmt.pf ppf "budget(%s)" w)
+
 let feed events =
   let m = Monitor.create () in
   let outcome = Monitor.push_all m events in
@@ -200,13 +207,7 @@ let test_persist_roundtrip () =
           in
           ignore (Monitor.push_all straight events);
           ignore (Monitor.push_all resumed rest);
-          let o = Alcotest.of_pp (fun ppf (o : Monitor.outcome) ->
-              match o with
-              | `Ok -> Fmt.string ppf "ok"
-              | `Violation w -> Fmt.pf ppf "violation(%s)" w
-              | `Budget w -> Fmt.pf ppf "budget(%s)" w)
-          in
-          Alcotest.check o (name ^ ": verdict") (Monitor.status straight)
+          Alcotest.check outcome (name ^ ": verdict") (Monitor.status straight)
             (Monitor.status resumed);
           Alcotest.(check (option int))
             (name ^ ": violation index")
@@ -238,6 +239,155 @@ let test_persist_rejects_corrupt () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt capsule (ok-over-violation) accepted"
 
+(* A duplicate-value TL2 recording (916 events) on which the conflict graph
+   is poisoned for good and the monitor runs two searches: the stream a
+   sharded session escalates with.  Resuming from a capsule taken at any
+   cut must be invisible, response by response. *)
+let test_persist_roundtrip_dup () =
+  let events = History.to_list (dup_history ~stm:"tl2" ~txns:90 1) in
+  let straight = Monitor.create () in
+  let outcomes = List.map (Monitor.push straight) events in
+  Alcotest.(check bool) "the stream searches" true
+    (Monitor.searches_run straight > 0);
+  List.iter
+    (fun cut ->
+      let name = Fmt.str "cut %d" cut in
+      let m = Monitor.create () in
+      List.iteri (fun i ev -> if i < cut then ignore (Monitor.push m ev)) events;
+      let resumed =
+        match Monitor.of_persisted (Monitor.persist m) with
+        | Ok m' -> m'
+        | Error why -> Alcotest.failf "%s: of_persisted: %s" name why
+      in
+      List.iteri
+        (fun i ev ->
+          if i >= cut then
+            Alcotest.check outcome
+              (Fmt.str "%s: outcome after event %d" name i)
+              (List.nth outcomes i) (Monitor.push resumed ev))
+        events;
+      Alcotest.(check (option int))
+        (name ^ ": violation index")
+        (Monitor.violation_index straight)
+        (Monitor.violation_index resumed);
+      Alcotest.(check bool)
+        (name ^ ": counters")
+        true
+        (Monitor.snapshot straight = Monitor.snapshot resumed);
+      Alcotest.(check (option string))
+        (name ^ ": certificate")
+        (Option.map (Fmt.str "%a" Serialization.pp)
+           (Monitor.certificate straight))
+        (Option.map (Fmt.str "%a" Serialization.pp)
+           (Monitor.certificate resumed));
+      Alcotest.(check (list event))
+        (name ^ ": history")
+        (History.to_list (Monitor.history straight))
+        (History.to_list (Monitor.history resumed)))
+    [ 1; List.length events / 3; List.length events / 2 ]
+
+(* Two monitors started at once on two domains both extend [History.empty]
+   first.  Each must end with exactly the verdict and the history of a
+   sequential run: a zero-length history never lends its storage, so the
+   first extensions cannot write into one shared array.  (The first-claim
+   race itself cannot be replayed here — the test binary has extended
+   [History.empty] long before — so this guards the outcome, not the
+   interleaving.) *)
+let test_two_domains_from_empty () =
+  let streams =
+    [|
+      History.to_list (dup_history ~stm:"tl2" ~txns:60 4);
+      History.to_list (dup_history ~stm:"norec" ~txns:60 5);
+    |]
+  in
+  let run events =
+    let m = Monitor.create () in
+    let o = Monitor.push_all m events in
+    (o, Monitor.violation_index m, History.to_list (Monitor.history m))
+  in
+  let sequential = Array.map run streams in
+  let ready = Atomic.make 0 in
+  let parallel =
+    Array.map
+      (fun events ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < Array.length streams do
+              Domain.cpu_relax ()
+            done;
+            run events))
+      streams
+    |> Array.map Domain.join
+  in
+  Array.iteri
+    (fun i (o, vi, evs) ->
+      let o', vi', evs' = parallel.(i) in
+      Alcotest.check outcome (Fmt.str "stream %d: verdict" i) o o';
+      Alcotest.(check (option int))
+        (Fmt.str "stream %d: violation index" i)
+        vi vi';
+      Alcotest.(check (list event)) (Fmt.str "stream %d: history" i) evs evs')
+    sequential
+
+(* [Conflict_graph.Inc.ambiguous_forever] is what lets the monitor stop
+   feeding its graph: once true it must stay true, and every later
+   verdict must be Ambiguous — checked after every event, with a verdict
+   asked after every event too (a verdict can itself poison the state). *)
+let prop_ambiguous_forever =
+  let stream =
+    QCheck2.Gen.frequency
+      [
+        (4, arb_dup_history ~txns:24);
+        ( 1,
+          arb_history
+            ~params:
+              {
+                Gen.default with
+                n_txns = 6;
+                n_threads = 3;
+                max_ops = 3;
+                mode = `Random_values;
+                value_range = 2;
+              }
+            () );
+      ]
+  in
+  qtest ~count:300 "graph: ambiguous_forever is sticky and final" stream
+    (fun h ->
+      let g = Conflict_graph.Inc.create () in
+      let was = ref false in
+      List.for_all
+        (fun ev ->
+          Conflict_graph.Inc.push g ev;
+          let before = Conflict_graph.Inc.ambiguous_forever g in
+          let verdict_ok =
+            match Conflict_graph.Inc.verdict g with
+            | Conflict_graph.Ambiguous _ -> true
+            | Conflict_graph.Sat _ | Conflict_graph.Unsat _ -> not before
+          in
+          let after = Conflict_graph.Inc.ambiguous_forever g in
+          let sticky = (not !was || before) && ((not before) || after) in
+          was := after;
+          verdict_ok && sticky)
+        (History.to_list h))
+
+let test_ambiguous_forever_fires () =
+  (* Two writers of X=1: reads-from is undetermined, so the graph is
+     poisoned at the second write and never decides again. *)
+  let events =
+    History.to_list Dsl.(history [ w 1 x 1; c_inv 1; w 2 x 1; r 3 x 1 ])
+  in
+  let g = Conflict_graph.Inc.create () in
+  let flags =
+    List.map
+      (fun ev ->
+        Conflict_graph.Inc.push g ev;
+        Conflict_graph.Inc.ambiguous_forever g)
+      events
+  in
+  Alcotest.(check bool) "false before the duplicate" false (List.hd flags);
+  Alcotest.(check bool) "true at the end" true (List.hd (List.rev flags))
+
 let suite =
   [
     ( "monitor",
@@ -255,5 +405,12 @@ let suite =
         slow "persist/resume is verdict- and hit-rate-transparent"
           test_persist_roundtrip;
         test "corrupt capsules rejected" test_persist_rejects_corrupt;
+        test "persist/resume on a duplicate-value stream that searches"
+          test_persist_roundtrip_dup;
+        test "two domains start from History.empty at once"
+          test_two_domains_from_empty;
+        test "ambiguous_forever fires on a duplicate write"
+          test_ambiguous_forever_fires;
+        prop_ambiguous_forever;
       ] );
   ]

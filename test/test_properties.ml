@@ -240,11 +240,18 @@ let prop_monitor_offline =
       | `Ok, Some _ | `Violation _, None -> false
       | `Budget _, _ -> QCheck2.assume_fail ())
 
-(* The same agreement, hammered harder: 1000 iterations over a blend of
-   random histories and fault-injected simulator runs (crashes, stalls,
-   spurious aborts, omission), so the revalidation fast path is exercised
+(* The same agreement, hammered harder: 1500 iterations over a blend of
+   random histories, fault-injected simulator runs (crashes, stalls,
+   spurious aborts, omission) and duplicate-value recordings (TL2, MVCC and
+   NOrec at [`Range 100] over 8 variables, and fault-injected TL2), so the
+   revalidation fast path and its per-transaction table are exercised
    against genuinely incomplete streams — commit-pending zombies and
-   invocations pending forever — not just generator output. *)
+   invocations pending forever — and against streams where the conflict
+   graph answers Ambiguous.  The outcome is compared after every event:
+   [`Ok] exactly while no response prefix so far is non-du-opaque, with a
+   running certificate the validator accepts, then the violation at that
+   prefix's length.  Duplicate-value prefixes are judged
+   by [Conflict_graph.check_or_fallback], the others by the bare search. *)
 
 let prop_monitor_equiv_offline =
   let fault_params =
@@ -270,22 +277,138 @@ let prop_monitor_equiv_offline =
           .Sim.Faults.history)
       QCheck2.Gen.(0 -- 1_000_000)
   in
-  qtest ~count:1000 "monitor = offline (random + fault-injected, 1000x)"
-    (QCheck2.Gen.bind QCheck2.Gen.bool (fun use_faults ->
-         if use_faults then faulted else mixed))
-    (fun h ->
-      let m = Monitor.create ?max_nodes:budget () in
-      let outcome = Monitor.push_all m (History.to_list h) in
-      let offline_first_bad =
+  let graph_then_search h =
+    Conflict_graph.check_or_fallback ?max_nodes:budget h
+  in
+  qtest ~count:1500
+    "monitor = offline (random + fault-injected + duplicate values, 1500x)"
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, map (fun h -> (h, du)) mixed);
+          (1, map (fun h -> (h, du)) faulted);
+          (1, map (fun h -> (h, graph_then_search)) (arb_dup_history ~txns:24));
+        ])
+    (fun (h, offline) ->
+      let first_bad =
         List.find_opt
-          (fun i -> not (sat "p" (du (History.prefix h i))))
+          (fun i -> not (sat "p" (offline (History.prefix h i))))
           (History.response_indices h)
       in
-      match (outcome, offline_first_bad) with
-      | `Ok, None -> true
-      | `Violation _, Some i -> Monitor.violation_index m = Some i
-      | `Ok, Some _ | `Violation _, None -> false
-      | `Budget _, _ -> QCheck2.assume_fail ())
+      let m = Monitor.create ?max_nodes:budget () in
+      List.for_all
+        (fun ev ->
+          let outcome = Monitor.push m ev in
+          let bad =
+            match first_bad with
+            | Some i -> Monitor.events_seen m >= i
+            | None -> false
+          in
+          match (outcome, bad) with
+          | `Ok, false -> (
+              (* the running certificate stays a witness of the prefix *)
+              (not (Event.is_res ev))
+              ||
+              match Monitor.certificate m with
+              | Some c ->
+                  Serialization.validate (Monitor.history m) c = Ok ()
+              | None -> false)
+          | `Violation _, true -> Monitor.violation_index m = first_bad
+          | `Ok, true | `Violation _, false -> false
+          | `Budget _, _ -> QCheck2.assume_fail ())
+        (History.to_list h))
+
+(* --- The linear checks agree with their pairwise definitions --- *)
+
+(* The quadratic definitions that [History.is_t_sequential] and the
+   real-time clause of [Serialization.validate] used to run, kept as
+   oracles. *)
+let t_sequential_pairwise h =
+  let ts = History.txns h in
+  List.for_all
+    (fun k ->
+      List.for_all
+        (fun m -> k = m || History.rt_precedes h k m || History.rt_precedes h m k)
+        ts)
+    ts
+
+let real_time_pairwise h order =
+  let rec go = function
+    | [] -> Ok ()
+    | k :: rest -> (
+        match List.find_opt (fun m -> History.rt_precedes h m k) rest with
+        | Some m ->
+            Error
+              (Fmt.str
+                 "real-time order violated: T%d precedes T%d in the history \
+                  but follows it in the serialization"
+                 m k)
+        | None -> go rest)
+  in
+  go order
+
+(* A certificate with decisions every completion allows (committed
+   transactions commit, commit-pending ones either way, the rest abort)
+   over [order]. *)
+let certificate rng h order =
+  let committed =
+    List.filter
+      (fun k ->
+        match Txn.commit_choices (History.info h k) with
+        | [ d ] -> d
+        | _ -> Random.State.bool rng)
+      order
+  in
+  Serialization.make ~order ~committed
+
+let shuffle rng l =
+  List.map (fun x -> (Random.State.bits rng, x)) l
+  |> List.sort compare |> List.map snd
+
+(* One adjacent pair swapped, or the whole order shuffled. *)
+let perturbed rng order =
+  if Random.State.bool rng then shuffle rng order
+  else
+    let n = List.length order in
+    if n < 2 then order
+    else
+      let i = Random.State.int rng (n - 1) in
+      let a = Array.of_list order in
+      let x = a.(i) in
+      a.(i) <- a.(i + 1);
+      a.(i + 1) <- x;
+      Array.to_list a
+
+let with_rng = QCheck2.Gen.(pair mixed (0 -- 1_000_000))
+
+let prop_t_sequential_linear =
+  qtest ~count:500 "is_t_sequential = pairwise rt_precedes" with_rng
+    (fun (h, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let s =
+        Serialization.to_history h
+          (certificate rng h (shuffle rng (History.txns h)))
+      in
+      (* a prefix of a t-sequential history may end inside a transaction *)
+      let cut = History.prefix s (Random.State.int rng (History.length s + 1)) in
+      List.for_all
+        (fun h -> History.is_t_sequential h = t_sequential_pairwise h)
+        [ h; s; cut ]
+      && History.is_t_sequential s)
+
+let prop_real_time_linear =
+  qtest ~count:500 "validate's real-time clause = pairwise definition"
+    with_rng (fun (h, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let c = certificate rng h (perturbed rng (History.txns h)) in
+      List.for_all
+        (fun claim ->
+          match real_time_pairwise h c.Serialization.order with
+          | Error _ as e -> Serialization.validate ~claim h c = e
+          | Ok () ->
+              Serialization.validate ~claim h c
+              = Serialization.validate ~claim ~respect_rt:false h c)
+        [ Serialization.Du_opaque; Serialization.Final_state ])
 
 (* --- Structural properties of the generator and the text format --- *)
 
@@ -337,6 +460,8 @@ let suite =
         prop_completions;
         prop_monitor_offline;
         prop_monitor_equiv_offline;
+        prop_t_sequential_linear;
+        prop_real_time_linear;
         prop_roundtrip;
         prop_unique_writes_generator;
         prop_prefix_structure;
